@@ -1,8 +1,22 @@
 #include "clock/version_vector.h"
 
+#include <algorithm>
+
 #include "common/encoding.h"
 
 namespace evc {
+
+namespace {
+
+/// First entry of the sorted `entries` whose replica is >= `replica`.
+template <typename Entries>
+auto LowerBound(Entries& entries, uint32_t replica) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), replica,
+      [](const VersionVector::Entry& e, uint32_t r) { return e.first < r; });
+}
+
+}  // namespace
 
 const char* CausalOrderToString(CausalOrder order) {
   switch (order) {
@@ -19,26 +33,38 @@ const char* CausalOrderToString(CausalOrder order) {
 }
 
 uint64_t VersionVector::Get(uint32_t replica) const {
-  auto it = entries_.find(replica);
-  return it == entries_.end() ? 0 : it->second;
+  auto it = LowerBound(entries_, replica);
+  return it != entries_.end() && it->first == replica ? it->second : 0;
 }
 
 void VersionVector::Set(uint32_t replica, uint64_t value) {
+  auto it = LowerBound(entries_, replica);
+  const bool present = it != entries_.end() && it->first == replica;
   if (value == 0) {
-    entries_.erase(replica);
+    if (present) entries_.erase(it);
+  } else if (present) {
+    it->second = value;
   } else {
-    entries_[replica] = value;
+    entries_.insert(it, Entry{replica, value});
   }
 }
 
 uint64_t VersionVector::Increment(uint32_t replica) {
-  return ++entries_[replica];
+  auto it = LowerBound(entries_, replica);
+  if (it == entries_.end() || it->first != replica) {
+    it = entries_.insert(it, Entry{replica, 0});
+  }
+  return ++it->second;
 }
 
 void VersionVector::MergeWith(const VersionVector& other) {
   for (const auto& [replica, counter] : other.entries_) {
-    auto& mine = entries_[replica];
-    if (counter > mine) mine = counter;
+    auto it = LowerBound(entries_, replica);
+    if (it == entries_.end() || it->first != replica) {
+      entries_.insert(it, Entry{replica, counter});
+    } else if (counter > it->second) {
+      it->second = counter;
+    }
   }
 }
 

@@ -10,8 +10,9 @@
 #define EVC_CLOCK_VERSION_VECTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 
@@ -27,10 +28,14 @@ enum class CausalOrder {
 
 const char* CausalOrderToString(CausalOrder order);
 
-/// Map from replica id to update counter. Absent entries are zero. The map
-/// is ordered so iteration (and serialization) is deterministic.
+/// Map from replica id to update counter. Absent entries are zero. Stored as
+/// a flat vector of (replica, counter) pairs sorted by replica with no zero
+/// counters: vectors hold a handful of replicas, so a contiguous scan beats a
+/// tree, and iteration (and serialization) stays in ascending replica order.
 class VersionVector {
  public:
+  using Entry = std::pair<uint32_t, uint64_t>;
+
   VersionVector() = default;
 
   /// Counter for `replica` (0 if absent).
@@ -78,7 +83,8 @@ class VersionVector {
     return !(*this == other);
   }
 
-  const std::map<uint32_t, uint64_t>& entries() const { return entries_; }
+  /// (replica, counter) pairs in ascending replica order.
+  const std::vector<Entry>& entries() const { return entries_; }
 
   /// "{r0:3, r2:1}" rendering for logs and test failure messages.
   std::string ToString() const;
@@ -89,7 +95,7 @@ class VersionVector {
   static Result<VersionVector> Decode(std::string_view data);
 
  private:
-  std::map<uint32_t, uint64_t> entries_;
+  std::vector<Entry> entries_;
 };
 
 /// Vector clocks are structurally identical to version vectors; the alias

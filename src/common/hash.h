@@ -11,15 +11,39 @@
 
 namespace evc {
 
+/// Incremental 64-bit FNV-1a: feeding bytes piecewise yields the same value
+/// as hashing their concatenation, without materializing the buffer.
+class Fnv1a64Stream {
+ public:
+  explicit Fnv1a64Stream(uint64_t seed = 0xcbf29ce484222325ULL) : h_(seed) {}
+
+  void Byte(uint8_t c) {
+    h_ ^= c;
+    h_ *= 0x100000001b3ULL;
+  }
+  void Bytes(std::string_view data) {
+    for (unsigned char c : data) Byte(c);
+  }
+  /// Feeds the LEB128 bytes PutVarint64 (common/encoding.h) would append.
+  void Varint64(uint64_t value) {
+    while (value >= 0x80) {
+      Byte(static_cast<uint8_t>(value | 0x80));
+      value >>= 7;
+    }
+    Byte(static_cast<uint8_t>(value));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_;
+};
+
 /// 64-bit FNV-1a over arbitrary bytes.
 inline uint64_t Fnv1a64(std::string_view data,
                         uint64_t seed = 0xcbf29ce484222325ULL) {
-  uint64_t h = seed;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1a64Stream h(seed);
+  h.Bytes(data);
+  return h.value();
 }
 
 /// Strong 64-bit mixer (SplitMix64 finalizer). Bijective.

@@ -52,8 +52,11 @@ void AntiEntropy::MarkDeparted(sim::NodeId node) {
   departed_[it->second] = true;
 }
 
-obs::MetricsRegistry& AntiEntropy::Obs() {
-  return network_->simulator()->metrics().global();
+obs::Counter& AntiEntropy::Ctr(obs::Counter** slot, const char* name) {
+  if (*slot == nullptr) {
+    *slot = &network_->simulator()->metrics().global().CounterFor(name);
+  }
+  return **slot;
 }
 
 void AntiEntropy::RegisterHandlers(size_t index) {
@@ -71,12 +74,12 @@ void AntiEntropy::RegisterHandlers(size_t index) {
               reply.divergent_buckets.push_back(b);
             }
           }
-          reply.keys = CollectBuckets(storage, reply.divergent_buckets);
+          reply.keys = storage->CollectBuckets(reply.divergent_buckets);
           stats_.buckets_exchanged += reply.divergent_buckets.size();
           stats_.keys_shipped += reply.keys.size();
-          Obs().CounterFor("ae.buckets_exchanged")
+          Ctr(&c_buckets_exchanged_, "ae.buckets_exchanged")
               .Inc(reply.divergent_buckets.size());
-          Obs().CounterFor("ae.keys_shipped").Inc(reply.keys.size());
+          Ctr(&c_keys_shipped_, "ae.keys_shipped").Inc(reply.keys.size());
         }
         network_->Send(msg.to, msg.from, t_sync_rsp_, std::move(reply));
       });
@@ -91,9 +94,9 @@ void AntiEntropy::RegisterHandlers(size_t index) {
           storage->MergeRemote(key, versions);
         }
         if (options_.push_pull && !reply.divergent_buckets.empty()) {
-          auto mine = CollectBuckets(storage, reply.divergent_buckets);
+          auto mine = storage->CollectBuckets(reply.divergent_buckets);
           stats_.keys_shipped += mine.size();
-          Obs().CounterFor("ae.keys_shipped").Inc(mine.size());
+          Ctr(&c_keys_shipped_, "ae.keys_shipped").Inc(mine.size());
           network_->Send(msg.to, msg.from, t_push_, std::move(mine));
         }
       });
@@ -101,29 +104,11 @@ void AntiEntropy::RegisterHandlers(size_t index) {
   // Receiving pushed keys.
   network_->RegisterHandler(
       nodes_[index], t_push_, [this, index](sim::Message msg) {
-        auto keys = std::move(msg.payload)
-                        .Take<std::vector<
-                            std::pair<std::string, std::vector<Version>>>>();
+        auto keys = std::move(msg.payload).Take<KeyedVersions>();
         for (const auto& [key, versions] : keys) {
           storages_[index]->MergeRemote(key, versions);
         }
       });
-}
-
-std::vector<std::pair<std::string, std::vector<Version>>>
-AntiEntropy::CollectBuckets(ReplicaStorage* storage,
-                            const std::vector<size_t>& buckets) {
-  std::vector<std::pair<std::string, std::vector<Version>>> out;
-  if (buckets.empty()) return out;
-  std::vector<bool> wanted(storage->merkle().leaf_count(), false);
-  for (size_t b : buckets) wanted[b] = true;
-  storage->store().ForEachKey(
-      [&](const std::string& key, const std::vector<Version>& versions) {
-        if (wanted[storage->merkle().BucketFor(key)]) {
-          out.emplace_back(key, versions);
-        }
-      });
-  return out;
 }
 
 void AntiEntropy::GossipRound(size_t index) {
@@ -133,7 +118,7 @@ void AntiEntropy::GossipRound(size_t index) {
   // migration that just moved that state off.
   if (departed_[index]) return;
   ++stats_.rounds;
-  Obs().CounterFor("ae.rounds").Inc();
+  Ctr(&c_rounds_, "ae.rounds").Inc();
   ReplicaStorage* storage = storages_[index];
   for (int f = 0; f < options_.fanout; ++f) {
     if (nodes_.size() < 2) return;
@@ -154,14 +139,14 @@ void AntiEntropy::GossipRound(size_t index) {
       // runs have no departed entries — rng draw order is untouched.)
       if (departed_[candidate]) {
         ++stats_.peers_skipped;
-        Obs().CounterFor("ae.peer_skips").Inc();
+        Ctr(&c_peer_skips_, "ae.peer_skips").Inc();
         if (++rejected >= 8) break;
         continue;
       }
       if (options_.peer_usable &&
           !options_.peer_usable(nodes_[index], nodes_[candidate])) {
         ++stats_.peers_skipped;
-        Obs().CounterFor("ae.peer_skips").Inc();
+        Ctr(&c_peer_skips_, "ae.peer_skips").Inc();
         if (++rejected >= 8) break;
         continue;
       }
@@ -172,7 +157,7 @@ void AntiEntropy::GossipRound(size_t index) {
                                                nodes_[candidate]) >=
                                   options_.yield_load) {
         ++stats_.peers_yielded;
-        Obs().CounterFor("ae.load_yields").Inc();
+        Ctr(&c_load_yields_, "ae.load_yields").Inc();
         if (++rejected >= 8) break;
         continue;
       }
@@ -189,7 +174,7 @@ void AntiEntropy::GossipRound(size_t index) {
       req.leaf_digests.push_back(storage->merkle().LeafDigest(b));
     }
     stats_.digests_shipped += leaves + 1;
-    Obs().CounterFor("ae.digests_shipped").Inc(leaves + 1);
+    Ctr(&c_digests_shipped_, "ae.digests_shipped").Inc(leaves + 1);
     network_->Send(nodes_[index], nodes_[peer], t_sync_req_, std::move(req));
   }
 }
@@ -215,10 +200,10 @@ bool AntiEntropy::SyncPair(size_t a_index, size_t b_index) {
   ReplicaStorage* a = storages_[a_index];
   ReplicaStorage* b = storages_[b_index];
   ++stats_.rounds;
-  Obs().CounterFor("ae.rounds").Inc();
+  Ctr(&c_rounds_, "ae.rounds").Inc();
   if (a->merkle().RootDigest() == b->merkle().RootDigest()) {
     ++stats_.syncs_skipped;
-    Obs().CounterFor("ae.syncs_skipped").Inc();
+    Ctr(&c_syncs_skipped_, "ae.syncs_skipped").Inc();
     return false;
   }
   uint64_t compared = 0;
@@ -226,12 +211,12 @@ bool AntiEntropy::SyncPair(size_t a_index, size_t b_index) {
       MerkleTree::DiffLeaves(a->merkle(), b->merkle(), &compared);
   stats_.digests_shipped += compared;
   stats_.buckets_exchanged += divergent.size();
-  Obs().CounterFor("ae.digests_shipped").Inc(compared);
-  Obs().CounterFor("ae.buckets_exchanged").Inc(divergent.size());
-  auto from_a = CollectBuckets(a, divergent);
-  auto from_b = CollectBuckets(b, divergent);
+  Ctr(&c_digests_shipped_, "ae.digests_shipped").Inc(compared);
+  Ctr(&c_buckets_exchanged_, "ae.buckets_exchanged").Inc(divergent.size());
+  auto from_a = a->CollectBuckets(divergent);
+  auto from_b = b->CollectBuckets(divergent);
   stats_.keys_shipped += from_a.size() + from_b.size();
-  Obs().CounterFor("ae.keys_shipped").Inc(from_a.size() + from_b.size());
+  Ctr(&c_keys_shipped_, "ae.keys_shipped").Inc(from_a.size() + from_b.size());
   bool changed = false;
   for (const auto& [key, versions] : from_a) {
     changed |= b->MergeRemote(key, versions);

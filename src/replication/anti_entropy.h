@@ -88,18 +88,17 @@ class AntiEntropy {
   struct SyncReply {
     // Keys + versions for buckets where the receiver differs, plus the list
     // of divergent buckets so the initiator can push back its versions.
-    std::vector<std::pair<std::string, std::vector<Version>>> keys;
+    KeyedVersions keys;
     std::vector<size_t> divergent_buckets;
   };
 
   void RegisterHandlers(size_t index);
   void GossipRound(size_t index);
   void GossipTick(size_t index);
-  /// Global metrics registry of the owning simulator (ae.* instruments).
-  obs::MetricsRegistry& Obs();
-  /// Collects all (key, siblings) pairs of `storage` falling in `buckets`.
-  static std::vector<std::pair<std::string, std::vector<Version>>>
-  CollectBuckets(ReplicaStorage* storage, const std::vector<size_t>& buckets);
+  /// An ae.* counter of the owning simulator's global registry, looked up
+  /// on first use and cached in `*slot` (so the registry gains exactly the
+  /// instruments a run touches, as with per-call lookups).
+  obs::Counter& Ctr(obs::Counter** slot, const char* name);
 
   sim::Network* network_;
   // Pre-interned RPC methods / message types (resolved in the ctor).
@@ -114,6 +113,14 @@ class AntiEntropy {
   AntiEntropyOptions options_;
   AntiEntropyStats stats_;
   Rng rng_;
+  // Cached ae.* counter handles (see Ctr); null until first use.
+  obs::Counter* c_rounds_ = nullptr;
+  obs::Counter* c_syncs_skipped_ = nullptr;
+  obs::Counter* c_buckets_exchanged_ = nullptr;
+  obs::Counter* c_keys_shipped_ = nullptr;
+  obs::Counter* c_digests_shipped_ = nullptr;
+  obs::Counter* c_peer_skips_ = nullptr;
+  obs::Counter* c_load_yields_ = nullptr;
 };
 
 }  // namespace evc::repl

@@ -699,11 +699,8 @@ void DynamoCluster::CoordinateGet(
     }
     // Read repair: push the merged set to any replier whose digest differs.
     if (config_.read_repair && !merged.empty()) {
-      // Compute the digest a converged replica would report (same formula
-      // as VersionedStore::KeyDigest over the merged sibling set).
-      const uint64_t key_hash = Fnv1a64(state->key);
-      uint64_t want = 0;
-      for (const auto& v : merged) want ^= Mix64(key_hash ^ v.Digest());
+      // The digest a converged replica would report for the merged set.
+      const uint64_t want = SiblingSetDigest(Fnv1a64(state->key), merged);
       for (const auto& [node, digest] : state->replier_digests) {
         if (digest == want) continue;
         StoreReq repair;

@@ -22,8 +22,12 @@ size_t MerkleTree::BucketFor(const std::string& key) const {
 
 void MerkleTree::UpdateKey(const std::string& key, uint64_t old_digest,
                            uint64_t new_digest) {
-  const size_t bucket = BucketFor(key);
-  const uint64_t key_hash = Fnv1a64(key);
+  UpdateKeyHash(Fnv1a64(key), old_digest, new_digest);
+}
+
+void MerkleTree::UpdateKeyHash(uint64_t key_hash, uint64_t old_digest,
+                               uint64_t new_digest) {
+  const size_t bucket = key_hash & (leaf_count_ - 1);
   uint64_t delta = 0;
   if (old_digest != 0) delta ^= Mix64(key_hash ^ old_digest);
   if (new_digest != 0) delta ^= Mix64(key_hash ^ new_digest);

@@ -32,6 +32,9 @@ class MerkleTree {
   /// store's KeyDigest values (never 0 for a live key; callers guard this).
   void UpdateKey(const std::string& key, uint64_t old_digest,
                  uint64_t new_digest);
+  /// UpdateKey for a caller that already holds `key_hash` = Fnv1a64(key).
+  void UpdateKeyHash(uint64_t key_hash, uint64_t old_digest,
+                     uint64_t new_digest);
 
   /// Root digest; equal roots <=> (with overwhelming probability) equal
   /// contents.

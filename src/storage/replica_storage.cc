@@ -20,38 +20,49 @@ void ReplicaStorage::JournalVersions(const std::string& key,
   wal_.Append(record);
 }
 
-void ReplicaStorage::SyncMerkle(const std::string& key, uint64_t old_digest) {
-  merkle_.UpdateKey(key, old_digest, store_.KeyDigest(key));
+void ReplicaStorage::SyncMerkle(const DigestChange& change) {
+  merkle_.UpdateKeyHash(change.key_hash, change.old_digest, change.new_digest);
 }
 
 Version ReplicaStorage::Put(const std::string& key, std::string value,
                             const VersionVector& context, LamportTimestamp ts) {
-  const uint64_t old_digest = store_.KeyDigest(key);
-  Version v = store_.Put(key, std::move(value), context, ts);
+  DigestChange change;
+  Version v = store_.Put(key, std::move(value), context, ts, &change);
   JournalVersions(key, {v});
-  SyncMerkle(key, old_digest);
+  SyncMerkle(change);
   return v;
 }
 
 Version ReplicaStorage::Delete(const std::string& key,
                                const VersionVector& context,
                                LamportTimestamp ts) {
-  const uint64_t old_digest = store_.KeyDigest(key);
-  Version v = store_.Delete(key, context, ts);
+  DigestChange change;
+  Version v = store_.Delete(key, context, ts, &change);
   JournalVersions(key, {v});
-  SyncMerkle(key, old_digest);
+  SyncMerkle(change);
   return v;
 }
 
 bool ReplicaStorage::MergeRemote(const std::string& key,
                                  const std::vector<Version>& remote_versions) {
-  const uint64_t old_digest = store_.KeyDigest(key);
-  const bool changed = store_.MergeRemote(key, remote_versions);
+  DigestChange change;
+  const bool changed = store_.MergeRemote(key, remote_versions, &change);
   if (changed) {
     JournalVersions(key, remote_versions);
-    SyncMerkle(key, old_digest);
+    SyncMerkle(change);
   }
   return changed;
+}
+
+KeyedVersions ReplicaStorage::CollectBuckets(
+    const std::vector<size_t>& buckets) const {
+  KeyedVersions out;
+  store_.ForEachKeyInBuckets(
+      merkle_.leaf_count(), buckets,
+      [&out](const std::string& key, const std::vector<Version>& versions) {
+        out.emplace_back(key, versions);
+      });
+  return out;
 }
 
 Result<size_t> ReplicaStorage::CrashAndRecover() {
@@ -97,10 +108,8 @@ Result<size_t> ReplicaStorage::RecoverFromLog(WriteAheadLog* wal) {
       if (own > max_own_counter) max_own_counter = own;
       versions.push_back(std::move(v));
     }
-    const uint64_t old_digest = store_.KeyDigest(key);
-    if (store_.MergeRemote(key, versions)) {
-      SyncMerkle(key, old_digest);
-    }
+    DigestChange change;
+    if (store_.MergeRemote(key, versions, &change)) SyncMerkle(change);
     ++replayed;
   }
   store_.RestoreCounterFloor(max_own_counter);

@@ -26,7 +26,12 @@ struct ReplicaStorageOptions {
   bool durable = true;
 };
 
-/// Storage engine for one replica.
+/// (key, full sibling set) pairs in ascending key order: an anti-entropy
+/// payload.
+using KeyedVersions = std::vector<std::pair<std::string, std::vector<Version>>>;
+
+/// Storage engine for one replica. Not copyable (VersionedStore is
+/// move-only).
 class ReplicaStorage {
  public:
   explicit ReplicaStorage(uint32_t replica_id,
@@ -60,6 +65,10 @@ class ReplicaStorage {
   bool MergeRemote(const std::string& key,
                    const std::vector<Version>& remote_versions);
 
+  /// Every key (with its siblings) in the given Merkle leaf buckets, in
+  /// ascending key order. Costs time proportional to the keys collected.
+  KeyedVersions CollectBuckets(const std::vector<size_t>& buckets) const;
+
   const VersionedStore& store() const { return store_; }
   VersionedStore* mutable_store() { return &store_; }
   const MerkleTree& merkle() const { return merkle_; }
@@ -85,7 +94,7 @@ class ReplicaStorage {
  private:
   void JournalVersions(const std::string& key,
                        const std::vector<Version>& versions);
-  void SyncMerkle(const std::string& key, uint64_t old_digest);
+  void SyncMerkle(const DigestChange& change);
 
   ReplicaStorageOptions options_;
   VersionedStore store_;

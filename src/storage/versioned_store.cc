@@ -8,13 +8,28 @@
 namespace evc {
 
 uint64_t Version::Digest() const {
-  std::string buf;
-  PutLengthPrefixed(&buf, value);
-  vv.EncodeTo(&buf);
-  PutVarint64(&buf, lww_ts.counter);
-  PutVarint64(&buf, lww_ts.node);
-  buf.push_back(tombstone ? 1 : 0);
-  return Fnv1a64(buf);
+  // FNV-1a over the bytes PutLengthPrefixed(value), vv.EncodeTo,
+  // PutVarint64(lww_ts.counter), PutVarint64(lww_ts.node) and the tombstone
+  // flag would append, streamed rather than materialized.
+  Fnv1a64Stream h;
+  h.Varint64(value.size());
+  h.Bytes(value);
+  h.Varint64(vv.size());
+  for (const auto& [replica, counter] : vv.entries()) {
+    h.Varint64(replica);
+    h.Varint64(counter);
+  }
+  h.Varint64(lww_ts.counter);
+  h.Varint64(lww_ts.node);
+  h.Byte(tombstone ? 1 : 0);
+  return h.value();
+}
+
+uint64_t SiblingSetDigest(uint64_t key_hash,
+                          const std::vector<Version>& versions) {
+  uint64_t acc = 0;
+  for (const auto& v : versions) acc ^= Mix64(key_hash ^ v.Digest());
+  return acc;
 }
 
 void Version::EncodeTo(std::string* dst) const {
@@ -54,61 +69,94 @@ VersionedStore::VersionedStore(uint32_t replica_id,
                                VersionedStoreOptions options)
     : replica_id_(replica_id), options_(options) {}
 
-Version VersionedStore::Put(const std::string& key, std::string value,
-                            const VersionVector& context, LamportTimestamp ts) {
-  Version v;
-  v.value = std::move(value);
-  v.vv = context;
+VersionedStore::Entry& VersionedStore::Slot(const std::string& key) {
+  auto [it, inserted] = table_.try_emplace(key);
+  Entry& e = it->second;
+  if (inserted) {
+    e.key = &it->first;
+    e.key_hash = Fnv1a64(key);
+    if (!bucket_heads_.empty()) LinkIntoBucket(e);
+  }
+  return e;
+}
+
+void VersionedStore::Refresh(Entry* e, size_t old_size,
+                             DigestChange* change) {
+  const uint64_t old_digest = e->digest;
+  version_count_ = version_count_ - old_size + e->siblings.size();
+  e->digest = SiblingSetDigest(e->key_hash, e->siblings);
+  if (change != nullptr) *change = {e->key_hash, old_digest, e->digest};
+  if (e->siblings.empty()) Erase(*e);
+}
+
+void VersionedStore::Erase(const Entry& e) {
+  if (!bucket_heads_.empty()) {
+    const Entry** link =
+        &bucket_heads_[e.key_hash & (bucket_heads_.size() - 1)];
+    while (*link != &e) link = &(*link)->next_in_bucket;
+    *link = e.next_in_bucket;
+  }
+  version_count_ -= e.siblings.size();
+  table_.erase(table_.find(*e.key));
+}
+
+Version VersionedStore::WriteLocal(const std::string& key, Version v,
+                                   DigestChange* change) {
   // The new write's own-replica slot must exceed both our counter and any
   // own-replica event already in the context, or the write would fail to
   // dominate a version it causally follows.
-  write_counter_ = std::max(write_counter_, context.Get(replica_id_)) + 1;
+  write_counter_ = std::max(write_counter_, v.vv.Get(replica_id_)) + 1;
   v.vv.Set(replica_id_, write_counter_);
+
+  Entry& e = Slot(key);
+  const size_t old_size = e.siblings.size();
+  InsertIntoSiblingSet(&e.siblings, v);
+  ApplyConflictPolicy(&e.siblings);
+  Refresh(&e, old_size, change);
+  return v;
+}
+
+Version VersionedStore::Put(const std::string& key, std::string value,
+                            const VersionVector& context, LamportTimestamp ts,
+                            DigestChange* change) {
+  Version v;
+  v.value = std::move(value);
+  v.vv = context;
   v.lww_ts = ts;
   v.tombstone = false;
-
-  auto& siblings = map_[key];
-  InsertIntoSiblingSet(&siblings, v);
-  ApplyConflictPolicy(&siblings);
-  return v;
+  return WriteLocal(key, std::move(v), change);
 }
 
 Version VersionedStore::Delete(const std::string& key,
                                const VersionVector& context,
-                               LamportTimestamp ts) {
+                               LamportTimestamp ts, DigestChange* change) {
   Version v;
   v.vv = context;
-  write_counter_ = std::max(write_counter_, context.Get(replica_id_)) + 1;
-  v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = true;
-
-  auto& siblings = map_[key];
-  InsertIntoSiblingSet(&siblings, v);
-  ApplyConflictPolicy(&siblings);
-  return v;
+  return WriteLocal(key, std::move(v), change);
 }
 
 std::vector<Version> VersionedStore::Get(const std::string& key) const {
   std::vector<Version> out;
-  auto it = map_.find(key);
-  if (it == map_.end()) return out;
-  for (const auto& v : it->second) {
+  auto it = table_.find(key);
+  if (it == table_.end()) return out;
+  for (const auto& v : it->second.siblings) {
     if (!v.tombstone) out.push_back(v);
   }
   return out;
 }
 
 std::vector<Version> VersionedStore::GetRaw(const std::string& key) const {
-  auto it = map_.find(key);
-  return it == map_.end() ? std::vector<Version>{} : it->second;
+  auto it = table_.find(key);
+  return it == table_.end() ? std::vector<Version>{} : it->second.siblings;
 }
 
 VersionVector VersionedStore::ContextFor(const std::string& key) const {
   VersionVector ctx;
-  auto it = map_.find(key);
-  if (it == map_.end()) return ctx;
-  for (const auto& v : it->second) ctx.MergeWith(v.vv);
+  auto it = table_.find(key);
+  if (it == table_.end()) return ctx;
+  for (const auto& v : it->second.siblings) ctx.MergeWith(v.vv);
   return ctx;
 }
 
@@ -155,53 +203,86 @@ void VersionedStore::ApplyConflictPolicy(std::vector<Version>* siblings) {
 }
 
 bool VersionedStore::MergeRemote(const std::string& key,
-                                 const std::vector<Version>& remote_versions) {
+                                 const std::vector<Version>& remote_versions,
+                                 DigestChange* change) {
   if (remote_versions.empty()) return false;
-  auto& siblings = map_[key];
+  Entry& e = Slot(key);
+  const size_t old_size = e.siblings.size();
   bool changed = false;
   for (const auto& rv : remote_versions) {
-    changed |= InsertIntoSiblingSet(&siblings, rv);
+    changed |= InsertIntoSiblingSet(&e.siblings, rv);
   }
-  if (changed) ApplyConflictPolicy(&siblings);
-  if (siblings.empty()) map_.erase(key);
-  return changed;
-}
-
-size_t VersionedStore::version_count() const {
-  size_t n = 0;
-  for (const auto& [key, siblings] : map_) n += siblings.size();
-  return n;
+  if (!changed) {
+    if (e.siblings.empty()) Erase(e);
+    return false;
+  }
+  ApplyConflictPolicy(&e.siblings);
+  Refresh(&e, old_size, change);
+  return true;
 }
 
 uint64_t VersionedStore::KeyDigest(const std::string& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return 0;
-  // Order-independent: XOR of per-version digests mixed with the key hash.
-  const uint64_t key_hash = Fnv1a64(key);
-  uint64_t acc = 0;
-  for (const auto& v : it->second) {
-    acc ^= Mix64(key_hash ^ v.Digest());
-  }
-  return acc;
+  auto it = table_.find(key);
+  return it == table_.end() ? 0 : it->second.digest;
 }
 
-void VersionedStore::ForEachKey(
-    const std::function<void(const std::string&, const std::vector<Version>&)>&
-        fn) const {
-  for (const auto& [key, siblings] : map_) fn(key, siblings);
+std::vector<const VersionedStore::Entry*> VersionedStore::SortedEntries()
+    const {
+  std::vector<const Entry*> out;
+  out.reserve(table_.size());
+  // evc-lint: allow(unordered-iteration) reason=collected, then sorted by key before any use
+  for (const auto& [key, entry] : table_) out.push_back(&entry);
+  std::sort(out.begin(), out.end(), [](const Entry* a, const Entry* b) {
+    return *a->key < *b->key;
+  });
+  return out;
+}
+
+void VersionedStore::ForEachKey(const KeyVisitor& fn) const {
+  for (const Entry* e : SortedEntries()) fn(*e->key, e->siblings);
+}
+
+void VersionedStore::LinkIntoBucket(const Entry& e) const {
+  const Entry*& head = bucket_heads_[e.key_hash & (bucket_heads_.size() - 1)];
+  e.next_in_bucket = head;
+  head = &e;
+}
+
+void VersionedStore::IndexBuckets(size_t bucket_count) const {
+  EVC_CHECK(bucket_count > 0 && (bucket_count & (bucket_count - 1)) == 0);
+  if (bucket_heads_.size() == bucket_count) return;
+  bucket_heads_.assign(bucket_count, nullptr);
+  for (const Entry* e : SortedEntries()) LinkIntoBucket(*e);
+}
+
+void VersionedStore::ForEachKeyInBuckets(size_t bucket_count,
+                                         const std::vector<size_t>& buckets,
+                                         const KeyVisitor& fn) const {
+  if (buckets.empty()) return;
+  IndexBuckets(bucket_count);
+  std::vector<const Entry*> hits;
+  for (size_t b : buckets) {
+    EVC_CHECK(b < bucket_count);
+    for (const Entry* e = bucket_heads_[b]; e != nullptr;
+         e = e->next_in_bucket) {
+      hits.push_back(e);
+    }
+  }
+  std::sort(hits.begin(), hits.end(), [](const Entry* a, const Entry* b) {
+    return *a->key < *b->key;
+  });
+  for (const Entry* e : hits) fn(*e->key, e->siblings);
 }
 
 size_t VersionedStore::PurgeTombstones() {
   size_t removed = 0;
-  for (auto it = map_.begin(); it != map_.end();) {
+  for (const Entry* e : SortedEntries()) {
     const bool all_tombstones =
-        std::all_of(it->second.begin(), it->second.end(),
+        std::all_of(e->siblings.begin(), e->siblings.end(),
                     [](const Version& v) { return v.tombstone; });
     if (all_tombstones) {
-      it = map_.erase(it);
+      Erase(*e);
       ++removed;
-    } else {
-      ++it;
     }
   }
   return removed;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <type_traits>
+
+#include "common/encoding.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace evc {
@@ -221,6 +226,230 @@ TEST_P(CrashRecoveryPropertyTest, RecoveryIsExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryPropertyTest,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+// --- cached digests and the bucket index ------------------------------------
+
+// The bucket index points into the store's table nodes: a copy would carry
+// dangling pointers, so neither type may be copied; moves hand the nodes over.
+static_assert(!std::is_copy_constructible_v<VersionedStore>);
+static_assert(!std::is_copy_assignable_v<VersionedStore>);
+static_assert(std::is_nothrow_move_constructible_v<VersionedStore>);
+static_assert(!std::is_copy_constructible_v<ReplicaStorage>);
+static_assert(!std::is_copy_assignable_v<ReplicaStorage>);
+
+// KeyDigest from scratch: the formula spelled out over each version's
+// encoded bytes, independent of the store's cache and of SiblingSetDigest.
+uint64_t ScratchDigest(const std::string& key,
+                       const std::vector<Version>& versions) {
+  uint64_t acc = 0;
+  for (const Version& v : versions) {
+    std::string buf;
+    PutLengthPrefixed(&buf, v.value);
+    v.vv.EncodeTo(&buf);
+    PutVarint64(&buf, v.lww_ts.counter);
+    PutVarint64(&buf, v.lww_ts.node);
+    buf.push_back(v.tombstone ? 1 : 0);
+    acc ^= Mix64(Fnv1a64(key) ^ Fnv1a64(buf));
+  }
+  return acc;
+}
+
+std::string Encoded(const std::vector<Version>& versions) {
+  std::string out;
+  for (const Version& v : versions) v.EncodeTo(&out);
+  return out;
+}
+
+constexpr int kKeySpace = 24;
+
+// Every key's cached digest, the version count and the key count agree with
+// a from-scratch recomputation over the store's contents.
+void ExpectCachesMatchScratch(const VersionedStore& store) {
+  size_t keys = 0, versions = 0;
+  std::string prev;
+  store.ForEachKey([&](const std::string& key,
+                       const std::vector<Version>& siblings) {
+    EXPECT_TRUE(keys == 0 || prev < key) << "ForEachKey out of order";
+    prev = key;
+    ++keys;
+    versions += siblings.size();
+    EXPECT_FALSE(siblings.empty()) << key;
+    EXPECT_EQ(store.KeyDigest(key), ScratchDigest(key, siblings)) << key;
+  });
+  EXPECT_EQ(store.key_count(), keys);
+  EXPECT_EQ(store.version_count(), versions);
+  for (int k = 0; k < kKeySpace; ++k) {
+    const std::string key = "k" + std::to_string(k);
+    EXPECT_EQ(store.KeyDigest(key), ScratchDigest(key, store.GetRaw(key)));
+  }
+}
+
+// The Merkle tree equals one built from scratch over the current contents.
+void ExpectMerkleMatchesScratch(const ReplicaStorage& rs) {
+  MerkleTree scratch(rs.merkle().depth());
+  rs.store().ForEachKey(
+      [&](const std::string& key, const std::vector<Version>& siblings) {
+        scratch.UpdateKey(key, 0, ScratchDigest(key, siblings));
+      });
+  EXPECT_EQ(rs.merkle().RootDigest(), scratch.RootDigest());
+}
+
+// Differential: the index-backed CollectBuckets returns exactly the ordered
+// (key, siblings) list of a full ordered scan filtered by BucketFor, for
+// random bucket subsets listed in random order.
+void ExpectBucketsMatchScan(const ReplicaStorage& rs, Rng& rng) {
+  const size_t leaves = rs.merkle().leaf_count();
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<size_t> buckets;
+    std::set<size_t> wanted;
+    for (size_t b = 0; b < leaves; ++b) {
+      if (rng.NextBool(trial == 0 ? 1.0 : 0.3)) buckets.push_back(b);
+    }
+    for (size_t i = buckets.size(); i > 1; --i) {
+      std::swap(buckets[i - 1], buckets[rng.NextBounded(i)]);
+    }
+    wanted.insert(buckets.begin(), buckets.end());
+    KeyedVersions scan;
+    rs.store().ForEachKey(
+        [&](const std::string& key, const std::vector<Version>& siblings) {
+          if (wanted.count(rs.merkle().BucketFor(key)) > 0) {
+            scan.emplace_back(key, siblings);
+          }
+        });
+    const KeyedVersions got = rs.CollectBuckets(buckets);
+    ASSERT_EQ(got.size(), scan.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, scan[i].first);
+      EXPECT_EQ(Encoded(got[i].second), Encoded(scan[i].second));
+    }
+  }
+}
+
+// One random mutation of `self`: a causal or blind put, a delete, or a merge
+// of `peer`'s siblings for the key (S is VersionedStore or ReplicaStorage).
+template <typename S>
+void RandomMutation(Rng& rng, S* self, const S& peer, uint32_t node,
+                    uint64_t* ts) {
+  const std::string key = "k" + std::to_string(rng.NextBounded(kKeySpace));
+  const uint64_t roll = rng.NextBounded(10);
+  const uint64_t t = (*ts)++;
+  if (roll < 4) {
+    self->Put(key, "v" + std::to_string(t),
+              rng.NextBool(0.6) ? self->ContextFor(key) : VersionVector(),
+              Ts(t, node));
+  } else if (roll < 6) {
+    self->Delete(key, self->ContextFor(key), Ts(t, node));
+  } else {
+    self->MergeRemote(key, peer.GetRaw(key));
+  }
+}
+
+struct CacheCase {
+  uint64_t seed;
+  ConflictPolicy policy;
+};
+
+class CachedDigestPropertyTest : public ::testing::TestWithParam<CacheCase> {};
+
+TEST_P(CachedDigestPropertyTest, VersionedStoreCacheMatchesScratch) {
+  Rng rng(GetParam().seed);
+  VersionedStoreOptions opts;
+  opts.conflict_policy = GetParam().policy;
+  VersionedStore a(0, opts), b(1, opts);
+  uint64_t ts = 1;
+  for (int step = 0; step < 400; ++step) {
+    const bool at_a = rng.NextBool(0.5);
+    RandomMutation(rng, at_a ? &a : &b, at_a ? b : a, at_a ? 0 : 1, &ts);
+    if (step % 50 == 49) {
+      ExpectCachesMatchScratch(a);
+      ExpectCachesMatchScratch(b);
+    }
+    if (step % 100 == 99) {
+      a.PurgeTombstones();  // erasure keeps the caches exact
+      ExpectCachesMatchScratch(a);
+    }
+  }
+}
+
+TEST_P(CachedDigestPropertyTest, ReplicaStorageSurvivesCrashAndCheckpoint) {
+  Rng rng(GetParam().seed + 100);
+  ReplicaStorageOptions opts;
+  opts.store.conflict_policy = GetParam().policy;
+  opts.merkle_depth = 3;  // 8 buckets: several keys share each one
+  ReplicaStorage a(0, opts), b(1, opts);
+  uint64_t ts = 1;
+  for (int step = 0; step < 400; ++step) {
+    const bool at_a = rng.NextBool(0.5);
+    RandomMutation(rng, at_a ? &a : &b, at_a ? b : a, at_a ? 0 : 1, &ts);
+    if (step % 40 == 39) {
+      ReplicaStorage* rs = rng.NextBool(0.5) ? &a : &b;
+      if (rng.NextBool(0.5)) rs->Checkpoint();
+      ASSERT_TRUE(rs->CrashAndRecover().ok());
+    }
+    if (step % 20 == 19) {
+      for (const ReplicaStorage* rs : {&a, &b}) {
+        ExpectCachesMatchScratch(rs->store());
+        ExpectMerkleMatchesScratch(*rs);
+        ExpectBucketsMatchScan(*rs, rng);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CachedDigestPropertyTest,
+    ::testing::Values(CacheCase{1, ConflictPolicy::kSiblings},
+                      CacheCase{2, ConflictPolicy::kSiblings},
+                      CacheCase{3, ConflictPolicy::kSiblings},
+                      CacheCase{1, ConflictPolicy::kLastWriterWins},
+                      CacheCase{2, ConflictPolicy::kLastWriterWins},
+                      CacheCase{3, ConflictPolicy::kLastWriterWins}));
+
+TEST(ReplicaStorageTest, BucketIndexSurvivesRecoveryReassignment) {
+  // RecoverFromLog replaces the store wholesale; the index built before
+  // the crash must not leak into (or dangle under) the recovered store.
+  Rng rng(7);
+  ReplicaStorageOptions opts;
+  opts.merkle_depth = 2;
+  ReplicaStorage rs(0, opts);
+  for (int i = 0; i < 40; ++i) {
+    rs.Put("k" + std::to_string(i), "v", VersionVector(), Ts(i + 1));
+  }
+  ExpectBucketsMatchScan(rs, rng);  // builds the index
+  ASSERT_TRUE(rs.CrashAndRecover().ok());
+  ExpectBucketsMatchScan(rs, rng);
+  rs.Put("late", "v", VersionVector(), Ts(100));  // linked after rebuild
+  ExpectBucketsMatchScan(rs, rng);
+}
+
+TEST(VersionedStoreIndexTest, MovedStoreKeepsAValidIndex) {
+  VersionedStore src(0);
+  for (int i = 0; i < 30; ++i) {
+    src.Put("k" + std::to_string(i), "v", VersionVector(), Ts(i + 1));
+  }
+  auto in_bucket_zero = [](const VersionedStore& s) {
+    std::vector<std::string> keys;
+    s.ForEachKeyInBuckets(
+        4, {0}, [&](const std::string& key, const std::vector<Version>&) {
+          keys.push_back(key);
+        });
+    return keys;
+  };
+  const std::vector<std::string> before = in_bucket_zero(src);
+  VersionedStore moved(std::move(src));
+  EXPECT_EQ(in_bucket_zero(moved), before);
+  VersionedStore assigned(9);
+  assigned.Put("gone", "v", VersionVector(), Ts(1));
+  in_bucket_zero(assigned);  // index over nodes the assignment frees
+  assigned = std::move(moved);
+  EXPECT_EQ(in_bucket_zero(assigned), before);
+  // Erasing through the moved index unlinks cleanly.
+  for (const std::string& key : before) {
+    assigned.Delete(key, assigned.ContextFor(key), Ts(50));
+  }
+  EXPECT_EQ(assigned.PurgeTombstones(), before.size());
+  EXPECT_TRUE(in_bucket_zero(assigned).empty());
+}
 
 }  // namespace
 }  // namespace evc

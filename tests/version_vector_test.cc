@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "common/encoding.h"
 #include "common/rng.h"
 
 namespace evc {
@@ -165,6 +169,133 @@ TEST_P(VersionVectorPropertyTest, IncrementAlwaysDominatesOriginal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionVectorPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- the flat vector against a std::map reference model ---------------------
+
+using Model = std::map<uint32_t, uint64_t>;
+
+void ModelSet(Model* m, uint32_t r, uint64_t v) {
+  if (v == 0) {
+    m->erase(r);
+  } else {
+    (*m)[r] = v;
+  }
+}
+
+std::string ModelEncode(const Model& m) {
+  std::string out;
+  PutVarint64(&out, m.size());
+  for (const auto& [r, c] : m) {
+    PutVarint64(&out, r);
+    PutVarint64(&out, c);
+  }
+  return out;
+}
+
+CausalOrder ModelCompare(const Model& a, const Model& b) {
+  std::set<uint32_t> replicas;
+  for (const auto& [r, c] : a) replicas.insert(r);
+  for (const auto& [r, c] : b) replicas.insert(r);
+  bool less = false, greater = false;
+  for (uint32_t r : replicas) {
+    const uint64_t x = a.count(r) ? a.at(r) : 0;
+    const uint64_t y = b.count(r) ? b.at(r) : 0;
+    less |= x < y;
+    greater |= x > y;
+  }
+  if (less && greater) return CausalOrder::kConcurrent;
+  if (less) return CausalOrder::kBefore;
+  if (greater) return CausalOrder::kAfter;
+  return CausalOrder::kEqual;
+}
+
+void ExpectMatchesModel(const VersionVector& vv, const Model& m) {
+  ASSERT_EQ(vv.size(), m.size());
+  auto it = m.begin();
+  for (const auto& [r, c] : vv.entries()) {
+    EXPECT_EQ(r, it->first);
+    EXPECT_EQ(c, it->second);
+    ++it;
+  }
+  for (uint32_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(vv.Get(r), m.count(r) ? m.at(r) : 0);
+  }
+  std::string enc;
+  vv.EncodeTo(&enc);
+  EXPECT_EQ(enc, ModelEncode(m));
+}
+
+// A random (replica, counter) list encoded in the wire format but in any
+// order, with duplicates and zero counters: Decode must fold it exactly as
+// successive Set calls on the model do.
+std::string RandomWireVector(Rng& rng, Model* model) {
+  const uint64_t n = rng.NextBounded(7);
+  std::string out;
+  PutVarint64(&out, n);
+  for (uint64_t i = 0; i < n; ++i) {
+    const auto r = static_cast<uint32_t>(rng.NextBounded(8));
+    const uint64_t c = rng.NextBool(0.2) ? 0 : rng.NextBounded(1u << 20);
+    PutVarint64(&out, r);
+    PutVarint64(&out, c);
+    ModelSet(model, r, c);
+  }
+  return out;
+}
+
+class FlatVectorModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FlatVectorModelTest, EveryOperationMatchesMapModel) {
+  Rng rng(GetParam());
+  VersionVector vv[3];
+  Model model[3];
+  for (int step = 0; step < 2000; ++step) {
+    const size_t i = rng.NextBounded(3);
+    const size_t j = rng.NextBounded(3);
+    const auto r = static_cast<uint32_t>(rng.NextBounded(8));
+    switch (rng.NextBounded(5)) {
+      case 0: {  // Set, including Set(r, 0) erasure
+        const uint64_t v = rng.NextBool(0.3) ? 0 : rng.NextBounded(300) + 1;
+        vv[i].Set(r, v);
+        ModelSet(&model[i], r, v);
+        break;
+      }
+      case 1:
+        EXPECT_EQ(vv[i].Increment(r), ++model[i][r]);
+        break;
+      case 2: {
+        vv[i].MergeWith(vv[j]);
+        const Model other = model[j];
+        for (const auto& [rr, c] : other) {
+          if (c > model[i][rr]) model[i][rr] = c;
+        }
+        break;
+      }
+      case 3: {
+        Model decoded;
+        const std::string wire = RandomWireVector(rng, &decoded);
+        auto got = VersionVector::Decode(wire);
+        ASSERT_TRUE(got.ok());
+        vv[i] = *got;
+        model[i] = decoded;
+        break;
+      }
+      default: {
+        EXPECT_EQ(vv[i].Compare(vv[j]), ModelCompare(model[i], model[j]));
+        std::string enc;
+        vv[i].EncodeTo(&enc);
+        auto round = VersionVector::Decode(enc);
+        ASSERT_TRUE(round.ok());
+        EXPECT_EQ(*round, vv[i]);
+        break;
+      }
+    }
+    ExpectMatchesModel(vv[i], model[i]);
+    EXPECT_EQ(vv[i] == vv[j], model[i] == model[j]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatVectorModelTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{7}));
 
 // --- dotted version vectors --------------------------------------------------
 

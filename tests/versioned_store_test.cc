@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/encoding.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace evc {
@@ -226,6 +227,63 @@ TEST(VersionTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->lww_ts, v.lww_ts);
   EXPECT_EQ(decoded->tombstone, v.tombstone);
   EXPECT_EQ(decoded->Digest(), v.Digest());
+}
+
+// Golden digests: Version::Digest and KeyDigest feed Merkle roots and
+// read-repair decisions, so any change to their value is a protocol change.
+// These constants were produced by the original buffer-building formula.
+TEST(VersionTest, DigestGoldenValues) {
+  Version a;
+  a.value = "v";
+  a.vv.Set(0, 1);
+  a.lww_ts = Ts(1, 0);
+  Version b;  // tombstone; multi-byte varints in the vector and timestamp
+  b.tombstone = true;
+  b.vv.Set(2, 300);
+  b.vv.Set(7, uint64_t{1} << 40);
+  b.lww_ts = Ts(70000, 7);
+  Version c;  // empty vector; a 200-byte value has a two-byte length prefix
+  c.value = std::string(200, 'x');
+  c.lww_ts = Ts(5, 3);
+  EXPECT_EQ(a.Digest(), 0x43e4972e6ddedb51ULL);
+  EXPECT_EQ(b.Digest(), 0xb07364e3535f5724ULL);
+  EXPECT_EQ(c.Digest(), 0xd01bed05cad4bb8aULL);
+
+  Version d;
+  d.value = "w";
+  d.vv.Set(1, 1);
+  d.lww_ts = Ts(1, 1);
+  VersionedStore store(0);
+  store.MergeRemote("k", {a});
+  store.MergeRemote("k", {d});
+  ASSERT_EQ(store.GetRaw("k").size(), 2u);
+  EXPECT_EQ(store.KeyDigest("k"), 0x22cc5a094f2c96e9ULL);
+  EXPECT_EQ(SiblingSetDigest(Fnv1a64("k"), {d, a}), 0x22cc5a094f2c96e9ULL);
+  store.MergeRemote("user42", {b, c});  // b dominates c
+  EXPECT_EQ(store.KeyDigest("user42"), 0xf8e9913d7095c4aeULL);
+  EXPECT_EQ(SiblingSetDigest(Fnv1a64("user42"), {}), 0u);
+}
+
+TEST(VersionTest, StreamedDigestEqualsHashOfEncodedBytes) {
+  Rng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    Version v;
+    v.value = std::string(rng.NextBounded(300), 'a' + trial % 26);
+    for (int e = static_cast<int>(rng.NextBounded(5)); e > 0; --e) {
+      v.vv.Set(static_cast<uint32_t>(rng.NextBounded(1u << 20)),
+               rng.NextU64() >> rng.NextBounded(64));
+    }
+    v.lww_ts = Ts(rng.NextU64() >> rng.NextBounded(64),
+                  static_cast<uint32_t>(rng.NextU64()));
+    v.tombstone = rng.NextBool(0.3);
+    std::string buf;
+    PutLengthPrefixed(&buf, v.value);
+    v.vv.EncodeTo(&buf);
+    PutVarint64(&buf, v.lww_ts.counter);
+    PutVarint64(&buf, v.lww_ts.node);
+    buf.push_back(v.tombstone ? 1 : 0);
+    EXPECT_EQ(v.Digest(), Fnv1a64(buf));
+  }
 }
 
 // Property: random cross-merging of three replicas converges to identical
