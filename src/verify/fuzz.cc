@@ -1,9 +1,11 @@
 #include "verify/fuzz.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -253,11 +255,18 @@ std::string UniqueValue(int session, int n) {
   return "s" + std::to_string(session) + "." + std::to_string(n);
 }
 
-/// Drives the common phases of every runner: unleash the nemesis, run the
-/// client sessions to completion, heal, then quiesce (optionally breaking
-/// early once `settled` reports the store repaired).
+std::string KeyName(uint64_t k) { return "k" + std::to_string(k); }
+
+/// Drives the common phases of every runner: run the client sessions while
+/// the nemesis plan plays out, heal, then quiesce (optionally breaking early
+/// once `settled` reports the store repaired). A store supplies only its op.
 class Driver : public sim::LoadActuator {
  public:
+  using Done = std::function<void()>;
+  /// Issues session `i`'s `n`-th op, drawing from the session's `rng`, and
+  /// calls `done` when that op completes.
+  using Op = std::function<void(int i, int n, Rng* rng, Done done)>;
+
   Driver(SimStack* s, sim::Nemesis* nemesis, const FuzzOptions& options)
       : s_(s), nemesis_(nemesis), options_(options) {
     // Wire the load faults into this driver's pacing. Consumes no
@@ -267,7 +276,6 @@ class Driver : public sim::LoadActuator {
     nemesis_->SetLoadActuator(this);
   }
 
-  bool stopped() const { return stopped_; }
   /// Exponential think time targeting ops_per_session ops over the fault
   /// window; an active flash crowd divides the mean gap (multiplies the
   /// offered rate).
@@ -283,20 +291,25 @@ class Driver : public sim::LoadActuator {
   /// "k<NextBounded(keyspace)>" draw.
   std::string Key(Rng* rng, int keyspace) const {
     const uint64_t drawn = rng->NextBounded(keyspace);
-    const uint64_t shifted =
-        (drawn + key_shift_) % static_cast<uint64_t>(std::max(1, keyspace));
-    return "k" + std::to_string(shifted);
+    return KeyName((drawn + key_shift_) %
+                   static_cast<uint64_t>(std::max(1, keyspace)));
   }
 
   // sim::LoadActuator:
   void SetLoadFactor(double factor) override { load_factor_ = factor; }
   void ShiftHotKeys() override { ++key_shift_; }
 
-  void SessionDone() { --live_; }
-
-  /// `live` sessions must call SessionDone() when their op chain finishes.
-  void RunWorkload(int live) {
-    live_ = live;
+  /// Forks one rng per session from `root` and paces each session's ops
+  /// with NextGap until it has issued ops_per_session or the run stops,
+  /// while the nemesis plan executes; then heals. Ops still in flight
+  /// complete during Quiesce and issue nothing further.
+  void RunSessions(Rng root, Op op) {
+    op_ = std::move(op);
+    for (int i = 0; i < options_.sessions; ++i) {
+      sessions_.push_back({root.Fork(static_cast<uint64_t>(i))});
+    }
+    for (int i = 0; i < options_.sessions; ++i) ScheduleNext(i);
+    live_ = options_.sessions;
     nemesis_->Execute(nemesis_->GeneratePlan(options_.nemesis));
     const sim::Time deadline =
         s_->sim.Now() + options_.nemesis.duration + 30 * kSecond;
@@ -318,13 +331,134 @@ class Driver : public sim::LoadActuator {
   }
 
  private:
+  struct Session {
+    Rng rng;
+    int issued = 0;
+  };
+
+  void ScheduleNext(int i) {
+    s_->sim.ScheduleAfter(NextGap(&sessions_[i].rng), [this, i] { Next(i); });
+  }
+
+  void Next(int i) {
+    Session& sess = sessions_[i];
+    if (stopped_ || sess.issued >= options_.ops_per_session) {
+      --live_;
+      return;
+    }
+    const int n = sess.issued++;
+    op_(i, n, &sess.rng, [this, i] { ScheduleNext(i); });
+  }
+
   SimStack* s_;
   sim::Nemesis* nemesis_;
   const FuzzOptions& options_;
+  Op op_;
+  std::vector<Session> sessions_;
   int live_ = 0;
   bool stopped_ = false;
   double load_factor_ = 1.0;  ///< kFlashCrowd multiplier (1.0 = nominal)
   uint64_t key_shift_ = 0;    ///< hot-key rotations applied (kLoadSpike)
+};
+
+/// The RecordedOp history of a session-checked store and the acked writes
+/// the convergence checker must find after heal. Writes are recorded at
+/// issue, unacked, and acked in place when they complete.
+struct History {
+  explicit History(FuzzReport* report) : rep(report) {}
+
+  size_t Issue(int session, const std::string& key, const std::string& value,
+               int64_t invoke) {
+    ops.push_back(RecWrite(session, key, value, invoke, invoke,
+                           /*acked=*/false));
+    return ops.size() - 1;
+  }
+  /// Counts the write's outcome; returns `ok`.
+  bool Complete(size_t slot, bool ok, int64_t response) {
+    if (!ok) {
+      ++rep->writes_failed;
+      return false;
+    }
+    RecordedOp& op = ops[slot];
+    op.acked = true;
+    op.response = response;
+    acked.push_back({op.key, op.value});
+    ++rep->writes_acked;
+    return true;
+  }
+  void Read(int session, const std::string& key,
+            std::vector<std::string> observed, int64_t invoke,
+            int64_t response, bool from_cache = false) {
+    ops.push_back(RecRead(session, key, std::move(observed), invoke, response,
+                          from_cache));
+    ++rep->reads_ok;
+  }
+
+  FuzzReport* rep;
+  std::vector<RecordedOp> ops;
+  std::vector<AckedWrite> acked;
+};
+
+/// Timeline positions seen by the primary-copy stores' clients: every
+/// observed (key, seqno) must carry one value, and after heal the replicas
+/// must agree on per-key seqnos.
+class TimelineLog {
+ public:
+  explicit TimelineLog(FuzzReport* rep) : rep_(rep) {}
+
+  void Observe(const std::string& key, uint64_t seqno,
+               const std::string& value) {
+    auto [it, inserted] = timeline_.try_emplace({key, seqno}, value);
+    if (!inserted && it->second != value) ++rep_->fork_violations;
+    seqno_of_.emplace(value, seqno);
+  }
+
+  /// Records the fork verdict and checks convergence. Replication is
+  /// fire-and-forget: convergence is only promised when the schedule
+  /// dropped no messages.
+  void Check(const SimStack& s, repl::TimelineCluster* cluster,
+             const std::vector<sim::NodeId>& servers, int keyspace,
+             const std::vector<AckedWrite>& acked) {
+    rep_->fork_checked = true;
+    rep_->conv_checked = true;
+    rep_->conv_applicable = s.net.messages_dropped() == 0;
+    if (!rep_->conv_applicable) return;
+    std::vector<ReplicaState> states;
+    for (sim::NodeId srv : servers) {
+      ReplicaState state;
+      for (int k = 0; k < keyspace; ++k) {
+        const std::string key = KeyName(k);
+        // Synchronous local read through the test hook pair.
+        const uint64_t seqno = cluster->VisibleSeqno(srv, key);
+        if (seqno == 0) continue;
+        state[key] = {std::to_string(seqno)};
+      }
+      states.push_back(std::move(state));
+    }
+    // Agreement on per-key seqnos; an acked write is covered when the final
+    // timeline position is at least its own.
+    std::vector<AckedWrite> acked_seqnos;
+    for (const AckedWrite& w : acked) {
+      auto it = seqno_of_.find(w.value);
+      if (it == seqno_of_.end()) continue;
+      acked_seqnos.push_back({w.key, std::to_string(it->second)});
+    }
+    auto covered = [](const AckedWrite& w,
+                      const std::vector<std::string>& final_values) {
+      const uint64_t want = std::stoull(w.value);
+      for (const std::string& v : final_values) {
+        if (std::stoull(v) >= want) return true;
+      }
+      return false;
+    };
+    rep_->convergence = CheckConvergence(states, acked_seqnos, covered);
+  }
+
+ private:
+  FuzzReport* rep_;
+  std::map<std::string, uint64_t> seqno_of_;  // value -> timeline position
+  // (key, seqno) -> the unique value every observer must see.
+  std::map<std::pair<std::string, uint64_t>, std::string> timeline_;
 };
 
 void FillCommon(FuzzReport* rep, const FuzzOptions& o, const SimStack& s,
@@ -360,40 +494,33 @@ FuzzReport RunPaxos(const FuzzOptions& o) {
 
   const std::string kKey = "reg";
   std::vector<Operation> history;
-  struct Session {
-    std::unique_ptr<consensus::PaxosKvClient> client;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x5e5510ULL);
+  std::vector<std::unique_ptr<consensus::PaxosKvClient>> clients;
+  for (int i = 0; i < o.sessions; ++i) {
+    const sim::NodeId node = s.net.AddNode();
+    clients.push_back(std::make_unique<consensus::PaxosKvClient>(
+        &cluster, &s.sim, node, servers));
+  }
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
+  driver.RunSessions(Rng(o.seed ^ 0x5e5510ULL), [&](int i, int n, Rng* rng,
+                                                    Driver::Done done) {
     const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
       // Record at issue with an open interval: a timed-out proposal may
       // still commit, so it must stay a candidate for every later time.
       history.push_back(Write(value, invoke, kOpenInterval));
       const size_t slot = history.size() - 1;
-      sess.client->Put(kKey, value, [&, i, slot](Result<uint64_t> r) {
+      clients[i]->Put(kKey, value, [&, slot, done](Result<uint64_t> r) {
         if (r.ok()) {
           history[slot].response = s.sim.Now();
           ++rep.writes_acked;
         } else {
           ++rep.writes_failed;
         }
-        s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                            [&, i] { next(i); });
+        done();
       });
     } else {
-      sess.client->Get(kKey, [&, i, invoke](Result<std::string> r) {
+      clients[i]->Get(kKey, [&, invoke, done](Result<std::string> r) {
         const int64_t response = s.sim.Now();
         if (r.ok()) {
           history.push_back(Read(*r, invoke, response));
@@ -404,24 +531,10 @@ FuzzReport RunPaxos(const FuzzOptions& o) {
         } else {
           ++rep.reads_failed;
         }
-        s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                            [&, i] { next(i); });
+        done();
       });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    const sim::NodeId node = s.net.AddNode();
-    sess->client = std::make_unique<consensus::PaxosKvClient>(
-        &cluster, &s.sim, node, servers);
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+  });
   auto applied_agree = [&] {
     const uint64_t index0 = cluster.AppliedIndex(servers[0]);
     for (sim::NodeId srv : servers) {
@@ -454,18 +567,66 @@ FuzzReport RunPaxos(const FuzzOptions& o) {
 }
 
 // --------------------------------------------------------------------------
-// Dynamo-style quorum store (strict R+W>N and weak R=W=1 configurations).
+// Dynamo-style quorum store: strict R+W>N, weak R=W=1, and elastic (strict
+// with Paxos-backed live membership changes). In the elastic run the nemesis
+// adds, removes, and rolling-restarts data servers mid-workload; the
+// checkers then assert the static-cluster claims (convergence, session
+// guarantees, hint ledger) ACROSS every reconfiguration boundary.
 // --------------------------------------------------------------------------
 
-FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
+/// Drives nemesis kAddNode/kRemoveNode draws into DynamoCluster live
+/// reconfigurations. Refusals (reconfig already in flight, member floor) are
+/// reported back so the nemesis records the op as skipped.
+class ElasticActuator : public sim::MembershipActuator {
+ public:
+  explicit ElasticActuator(repl::DynamoCluster* cluster) : cluster_(cluster) {}
+
+  bool AddNode() override {
+    Result<sim::NodeId> added = cluster_->AddServerLive([](Status) {});
+    return added.ok();
+  }
+  std::vector<sim::NodeId> RemovableNodes() override {
+    std::vector<sim::NodeId> members = cluster_->CommittedMembers();
+    if (static_cast<int>(members.size()) <= cluster_->config().min_members) {
+      return {};
+    }
+    return members;
+  }
+  bool RemoveNode(sim::NodeId node) override {
+    return cluster_->RemoveServerLive(node, [](Status) {}).ok();
+  }
+
+ private:
+  repl::DynamoCluster* cluster_;
+};
+
+FuzzReport RunQuorum(const FuzzOptions& o) {
+  const bool elastic = o.store == FuzzStore::kQuorumElastic;
+  const bool strict = o.store != FuzzStore::kQuorumWeak;
   FuzzReport rep;
   SimStack s(o);
+
+  // The elastic configuration service's Paxos group lives on its own nodes,
+  // OUTSIDE the nemesis target set: the config core's availability is an
+  // assumption of the design (exactly as in the paper's primary-copy
+  // protocols); what the schedule attacks is the data plane through
+  // membership churn.
+  std::optional<consensus::PaxosCluster> paxos;
+  std::optional<membership::ConfigService> config;
+  if (elastic) {
+    paxos.emplace(&s.rpc, consensus::PaxosOptions{});
+    const std::vector<sim::NodeId> paxos_servers = paxos->AddServers(3);
+    paxos->Start();
+    config.emplace(&s.rpc, &*paxos, paxos_servers);
+  }
+
   repl::QuorumConfig cfg;
   cfg.replication_factor = 3;
   cfg.read_quorum = strict ? 2 : 1;
   cfg.write_quorum = strict ? 2 : 1;
-  cfg.sloppy = !strict;
+  cfg.sloppy = elastic ? o.elastic_sloppy : !strict;
   cfg.read_repair = true;
+  cfg.use_hash_ring = elastic;
   cfg.crash_amnesia = o.amnesia;
   cfg.use_oracle_detector = o.use_oracle_detector;
   if (o.overload) {
@@ -499,95 +660,119 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
   repl::AntiEntropy ae(&s.net, servers, storages, ae_options);
   ae.Start();
 
+  std::set<sim::NodeId> gossiping(servers.begin(), servers.end());
+  if (elastic) {
+    // Membership wiring: a live-joined server starts gossiping before any
+    // data moves; a committed removal marks the node departed so peer draws
+    // skip it.
+    cluster.SetServerCreatedCallback(
+        [&](sim::NodeId node, ReplicaStorage* storage) {
+          ae.AddMember(node, storage);
+          gossiping.insert(node);
+        });
+    cluster.SetCommitCallback([&](const membership::MembershipView& view) {
+      ++rep.epochs_committed;
+      for (auto it = gossiping.begin(); it != gossiping.end();) {
+        if (view.Contains(*it)) {
+          ++it;
+        } else {
+          ae.MarkDeparted(*it);
+          it = gossiping.erase(it);
+        }
+      }
+    });
+
+    // Bootstrap epoch 1 with the initial server set, then hand the cluster
+    // its view-driven membership.
+    s.sim.RunFor(2 * kSecond);  // let the config group elect a leader
+    bool bootstrapped = false;
+    config->Bootstrap(servers, [&](Status st) {
+      EVC_CHECK_OK(st);
+      bootstrapped = true;
+    });
+    const sim::Time boot_deadline = s.sim.Now() + 30 * kSecond;
+    while (!bootstrapped && s.sim.Now() < boot_deadline) {
+      s.sim.RunFor(100 * kMillisecond);
+    }
+    EVC_CHECK(bootstrapped);
+    cluster.EnableElastic(&*config);
+  }
+
   sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
+  ElasticActuator actuator(&cluster);
+  if (elastic) nemesis.SetMembershipActuator(&actuator);
   Driver driver(&s, &nemesis, o);
 
-  std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
+  History h(&rep);
   std::map<std::string, VersionVector> acked_vv;  // value -> stored vv
-  struct Session {
-    sim::NodeId node = 0;
-    Rng rng{0};
-    int issued = 0;
-    std::map<std::string, VersionVector> context;  // last read context
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x0d15c0ULL);
+  std::vector<sim::NodeId> nodes;
+  // Per session: key -> context of the last read.
+  std::vector<std::map<std::string, VersionVector>> contexts(o.sessions);
+  for (int i = 0; i < o.sessions; ++i) nodes.push_back(s.net.AddNode());
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
+  driver.RunSessions(Rng(o.seed ^ 0x0d15c0ULL), [&](int i, int n, Rng* rng,
+                                                    Driver::Done done) {
+    const std::string key = driver.Key(rng, o.keyspace);
+    auto pick = [rng](const std::vector<sim::NodeId>& from) {
+      return from[rng->NextBounded(from.size())];
+    };
+    // Elastic coordinators are drawn from the CURRENT committed membership —
+    // the client-visible contract of the config service. A request can
+    // still race a commit (pick a server that departs in flight); it then
+    // fails cleanly at the epoch fence and is simply counted as unavailable.
     const sim::NodeId coord =
-        servers[sess.rng.NextBounded(servers.size())];
+        elastic ? pick(cluster.CommittedMembers()) : pick(servers);
     const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      VersionVector context = sess.context[key];
-      cluster.Put(sess.node, coord, key, value, context,
-                  [&, i, key, value, slot](Result<Version> r) {
-                    if (r.ok()) {
-                      history[slot].acked = true;
-                      history[slot].response = s.sim.Now();
-                      acked.push_back({key, value});
+      const size_t slot = h.Issue(i, key, value, invoke);
+      cluster.Put(nodes[i], coord, key, value, contexts[i][key],
+                  [&, value, slot, done](Result<Version> r) {
+                    if (h.Complete(slot, r.ok(), s.sim.Now())) {
                       acked_vv[value] = r->vv;
-                      ++rep.writes_acked;
-                    } else {
-                      ++rep.writes_failed;
                     }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
+                    done();
                   });
     } else {
-      cluster.Get(sess.node, coord, key,
-                  [&, i, key, invoke](Result<repl::ReadResult> r) {
-                    const int64_t response = s.sim.Now();
+      cluster.Get(nodes[i], coord, key,
+                  [&, i, key, invoke, done](Result<repl::ReadResult> r) {
                     if (r.ok()) {
                       std::vector<std::string> observed;
                       for (const Version& v : r->versions) {
                         observed.push_back(v.value);
                       }
-                      sessions[i]->context[key] = r->context;
-                      history.push_back(
-                          RecRead(i, key, std::move(observed), invoke,
-                                  response));
-                      ++rep.reads_ok;
+                      contexts[i][key] = r->context;
+                      h.Read(i, key, std::move(observed), invoke,
+                             s.sim.Now());
                     } else {
                       ++rep.reads_failed;
                     }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
+                    done();
                   });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
-  driver.Quiesce(
-      [&] { return ae.Converged() && cluster.pending_hints() == 0; });
+  });
+  // Elastic runs also wait until the last reconfiguration has fully settled
+  // (prepare → catch-up → commit → every server on the committed epoch).
+  driver.Quiesce([&] {
+    if (elastic) {
+      return !cluster.Migrating() && cluster.pending_hints() == 0 &&
+             ae.Converged();
+    }
+    return ae.Converged() && cluster.pending_hints() == 0;
+  });
 
   // Final state: anti-entropy replicates every key to every server, so all
-  // server states must agree in full.
+  // server states must agree in full. Elastic convergence is asserted over
+  // the FINAL committed membership: departed servers keep their stale
+  // shadow copies (harmless — nothing routes to them), live-joined servers
+  // must hold the full acked history.
+  const std::vector<sim::NodeId> members =
+      elastic ? cluster.CommittedMembers() : servers;
   std::vector<ReplicaState> states;
-  for (sim::NodeId srv : servers) {
+  for (sim::NodeId srv : members) {
     ReplicaState state;
     for (int k = 0; k < o.keyspace; ++k) {
-      const std::string key = "k" + std::to_string(k);
+      const std::string key = KeyName(k);
       std::vector<Version> versions = cluster.storage(srv)->Get(key);
       if (versions.empty()) continue;
       std::vector<std::string> values;
@@ -601,8 +786,8 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
   // a surviving sibling (read-modify-write supersession).
   std::map<std::string, std::vector<Version>> final_versions;
   for (int k = 0; k < o.keyspace; ++k) {
-    const std::string key = "k" + std::to_string(k);
-    final_versions[key] = cluster.storage(servers[0])->GetRaw(key);
+    const std::string key = KeyName(k);
+    final_versions[key] = cluster.storage(members[0])->GetRaw(key);
   }
   auto covered = [&](const AckedWrite& w,
                      const std::vector<std::string>& final_values) {
@@ -617,278 +802,13 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
     return false;
   };
   rep.conv_checked = true;
-  rep.convergence = CheckConvergence(states, acked, covered);
+  rep.convergence = CheckConvergence(states, h.acked, covered);
 
-  rep.sess_checked = true;
-  rep.session = CheckSessionGuarantees(history);
-
-  rep.hints_stored = cluster.stats().hints_stored;
-  rep.hints_delivered = cluster.stats().hints_delivered;
-  rep.hints_lost = cluster.stats().hints_lost;
-  rep.hints_pending = cluster.pending_hints();
-  rep.detector_false_positives =
-      s.sim.metrics()
-          .global()
-          .CounterFor("resilience.detector.false_positives")
-          .value();
-
-  FillCommon(&rep, o, s, nemesis);
-  return rep;
-}
-
-// --------------------------------------------------------------------------
-// Elastic quorum: strict R+W>N with Paxos-backed live membership changes.
-// The nemesis adds, removes, and rolling-restarts data servers mid-workload;
-// the checkers then assert the static-cluster claims (convergence, session
-// guarantees, hint ledger) ACROSS every reconfiguration boundary.
-// --------------------------------------------------------------------------
-
-/// Drives nemesis kAddNode/kRemoveNode draws into DynamoCluster live
-/// reconfigurations. Refusals (reconfig already in flight, member floor) are
-/// reported back so the nemesis records the op as skipped.
-class ElasticActuator : public sim::MembershipActuator {
- public:
-  explicit ElasticActuator(repl::DynamoCluster* cluster) : cluster_(cluster) {}
-
-  bool AddNode() override {
-    Result<sim::NodeId> added = cluster_->AddServerLive([](Status) {});
-    return added.ok();
-  }
-  std::vector<sim::NodeId> RemovableNodes() override {
-    std::vector<sim::NodeId> members = cluster_->CommittedMembers();
-    if (static_cast<int>(members.size()) <= cluster_->config().min_members) {
-      return {};
-    }
-    return members;
-  }
-  bool RemoveNode(sim::NodeId node) override {
-    return cluster_->RemoveServerLive(node, [](Status) {}).ok();
-  }
-
- private:
-  repl::DynamoCluster* cluster_;
-};
-
-FuzzReport RunQuorumElastic(const FuzzOptions& o) {
-  FuzzReport rep;
-  SimStack s(o);
-
-  // The configuration service's Paxos group lives on its own nodes, OUTSIDE
-  // the nemesis target set: the config core's availability is an assumption
-  // of the design (exactly as in the paper's primary-copy protocols); what
-  // the schedule attacks is the data plane through membership churn.
-  consensus::PaxosCluster paxos(&s.rpc, consensus::PaxosOptions{});
-  const std::vector<sim::NodeId> paxos_servers = paxos.AddServers(3);
-  paxos.Start();
-  membership::ConfigService config(&s.rpc, &paxos, paxos_servers);
-
-  repl::QuorumConfig cfg;
-  cfg.replication_factor = 3;
-  cfg.read_quorum = 2;
-  cfg.write_quorum = 2;
-  cfg.sloppy = o.elastic_sloppy;
-  cfg.read_repair = true;
-  cfg.use_hash_ring = true;
-  cfg.crash_amnesia = o.amnesia;
-  cfg.use_oracle_detector = o.use_oracle_detector;
-  if (o.overload) {
-    cfg.admission_enabled = true;
-    cfg.resilience.retry_budget.enabled = true;
-    cfg.resilience.aimd.enabled = true;
-  }
-  repl::DynamoCluster cluster(&s.rpc, cfg);
-  const std::vector<sim::NodeId> servers = cluster.AddServers(o.servers);
-  cluster.StartHintDelivery(500 * kMillisecond);
-  cluster.StartFailureDetection();  // no-op in oracle mode
-
-  std::vector<ReplicaStorage*> storages;
-  for (sim::NodeId srv : servers) storages.push_back(cluster.storage(srv));
-  repl::AntiEntropyOptions ae_options;
-  ae_options.interval = 250 * kMillisecond;
-  if (!o.use_oracle_detector) {
-    ae_options.peer_usable = [&cluster](sim::NodeId self, sim::NodeId peer) {
-      return cluster.PeerUsable(self, peer);
-    };
-  }
-  if (o.overload) {
-    ae_options.load_of = [&s](sim::NodeId self, sim::NodeId peer) {
-      return s.rpc.PeerLoad(self, peer);
-    };
-  }
-  repl::AntiEntropy ae(&s.net, servers, storages, ae_options);
-  ae.Start();
-
-  // Membership wiring: a live-joined server starts gossiping before any data
-  // moves; a committed removal marks the node departed so peer draws skip it.
-  std::set<sim::NodeId> gossiping(servers.begin(), servers.end());
-  cluster.SetServerCreatedCallback(
-      [&](sim::NodeId node, ReplicaStorage* storage) {
-        ae.AddMember(node, storage);
-        gossiping.insert(node);
-      });
-  cluster.SetCommitCallback([&](const membership::MembershipView& view) {
-    ++rep.epochs_committed;
-    for (auto it = gossiping.begin(); it != gossiping.end();) {
-      if (view.Contains(*it)) {
-        ++it;
-      } else {
-        ae.MarkDeparted(*it);
-        it = gossiping.erase(it);
-      }
-    }
-  });
-
-  // Bootstrap epoch 1 with the initial server set, then hand the cluster its
-  // view-driven membership.
-  s.sim.RunFor(2 * kSecond);  // let the config group elect a leader
-  bool bootstrapped = false;
-  config.Bootstrap(servers, [&](Status st) {
-    EVC_CHECK_OK(st);
-    bootstrapped = true;
-  });
-  const sim::Time boot_deadline = s.sim.Now() + 30 * kSecond;
-  while (!bootstrapped && s.sim.Now() < boot_deadline) {
-    s.sim.RunFor(100 * kMillisecond);
-  }
-  EVC_CHECK(bootstrapped);
-  cluster.EnableElastic(&config);
-
-  sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
-  ElasticActuator actuator(&cluster);
-  nemesis.SetMembershipActuator(&actuator);
-  Driver driver(&s, &nemesis, o);
-
-  std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
-  std::map<std::string, VersionVector> acked_vv;  // value -> stored vv
-  struct Session {
-    sim::NodeId node = 0;
-    Rng rng{0};
-    int issued = 0;
-    std::map<std::string, VersionVector> context;  // last read context
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x0d15c0ULL);
-
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    // Coordinators are drawn from the CURRENT committed membership — the
-    // client-visible contract of the config service. A request can still
-    // race a commit (pick a server that departs in flight); it then fails
-    // cleanly at the epoch fence and is simply counted as unavailable.
-    const std::vector<sim::NodeId> members = cluster.CommittedMembers();
-    const sim::NodeId coord = members[sess.rng.NextBounded(members.size())];
-    const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
-      const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      VersionVector context = sess.context[key];
-      cluster.Put(sess.node, coord, key, value, context,
-                  [&, i, key, value, slot](Result<Version> r) {
-                    if (r.ok()) {
-                      history[slot].acked = true;
-                      history[slot].response = s.sim.Now();
-                      acked.push_back({key, value});
-                      acked_vv[value] = r->vv;
-                      ++rep.writes_acked;
-                    } else {
-                      ++rep.writes_failed;
-                    }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
-                  });
-    } else {
-      cluster.Get(sess.node, coord, key,
-                  [&, i, key, invoke](Result<repl::ReadResult> r) {
-                    const int64_t response = s.sim.Now();
-                    if (r.ok()) {
-                      std::vector<std::string> observed;
-                      for (const Version& v : r->versions) {
-                        observed.push_back(v.value);
-                      }
-                      sessions[i]->context[key] = r->context;
-                      history.push_back(
-                          RecRead(i, key, std::move(observed), invoke,
-                                  response));
-                      ++rep.reads_ok;
-                    } else {
-                      ++rep.reads_failed;
-                    }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
-                  });
-    }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
-  // Quiesce until the last reconfiguration has fully settled (prepare →
-  // catch-up → commit → every server on the committed epoch), hints have
-  // drained, and anti-entropy reports the live members identical.
-  driver.Quiesce([&] {
-    return !cluster.Migrating() && cluster.pending_hints() == 0 &&
-           ae.Converged();
-  });
-
-  // Convergence is asserted over the FINAL committed membership: departed
-  // servers keep their stale shadow copies (harmless — nothing routes to
-  // them), live-joined servers must hold the full acked history.
-  const std::vector<sim::NodeId> final_members = cluster.CommittedMembers();
-  std::vector<ReplicaState> states;
-  for (sim::NodeId srv : final_members) {
-    ReplicaState state;
-    for (int k = 0; k < o.keyspace; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::vector<Version> versions = cluster.storage(srv)->Get(key);
-      if (versions.empty()) continue;
-      std::vector<std::string> values;
-      for (const Version& v : versions) values.push_back(v.value);
-      std::sort(values.begin(), values.end());
-      state[key] = std::move(values);
-    }
-    states.push_back(std::move(state));
-  }
-  std::map<std::string, std::vector<Version>> final_versions;
-  for (int k = 0; k < o.keyspace; ++k) {
-    const std::string key = "k" + std::to_string(k);
-    final_versions[key] = cluster.storage(final_members[0])->GetRaw(key);
-  }
-  auto covered = [&](const AckedWrite& w,
-                     const std::vector<std::string>& final_values) {
-    for (const std::string& v : final_values) {
-      if (v == w.value) return true;
-    }
-    auto vv_it = acked_vv.find(w.value);
-    if (vv_it == acked_vv.end()) return false;
-    for (const Version& v : final_versions[w.key]) {
-      if (v.vv.Descends(vv_it->second)) return true;
-    }
-    return false;
-  };
-  rep.conv_checked = true;
-  rep.convergence = CheckConvergence(states, acked, covered);
-
-  if (!o.elastic_sloppy) {
-    // Only the strict configuration claims session guarantees; the sloppy
-    // variant exists to drive hint traffic for the ledger sweep.
+  if (!(elastic && o.elastic_sloppy)) {
+    // The sloppy elastic variant exists to drive hint traffic for the
+    // ledger sweep; it claims no session guarantees.
     rep.sess_checked = true;
-    rep.session = CheckSessionGuarantees(history);
+    rep.session = CheckSessionGuarantees(h.ops);
   }
 
   rep.hints_stored = cluster.stats().hints_stored;
@@ -900,10 +820,12 @@ FuzzReport RunQuorumElastic(const FuzzOptions& o) {
           .global()
           .CounterFor("resilience.detector.false_positives")
           .value();
-  rep.membership_ops = nemesis.stats().membership_ops;
-  rep.keys_migrated = cluster.stats().keys_migrated;
-  rep.stale_epoch_rejects = cluster.stats().stale_epoch_rejects;
-  rep.hints_redirected = cluster.stats().hints_redirected;
+  if (elastic) {
+    rep.membership_ops = nemesis.stats().membership_ops;
+    rep.keys_migrated = cluster.stats().keys_migrated;
+    rep.stale_epoch_rejects = cluster.stats().stale_epoch_rejects;
+    rep.hints_redirected = cluster.stats().hints_redirected;
+  }
 
   FillCommon(&rep, o, s, nemesis);
   return rep;
@@ -925,92 +847,46 @@ FuzzReport RunTimeline(const FuzzOptions& o) {
   sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
   Driver driver(&s, &nemesis, o);
 
-  std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
-  std::map<std::string, uint64_t> seqno_of;  // value -> timeline position
-  // Timeline forks: (key, seqno) -> the unique value every observer must see.
-  std::map<std::pair<std::string, uint64_t>, std::string> timeline;
-  auto observe = [&](const std::string& key, uint64_t seqno,
-                     const std::string& value) {
-    auto [it, inserted] = timeline.try_emplace({key, seqno}, value);
-    if (!inserted && it->second != value) ++rep.fork_violations;
-    seqno_of.emplace(value, seqno);
-  };
+  History h(&rep);
+  TimelineLog timeline(&rep);
+  std::vector<sim::NodeId> nodes;
+  for (int i = 0; i < o.sessions; ++i) nodes.push_back(s.net.AddNode());
 
-  struct Session {
-    sim::NodeId node = 0;
-    sim::NodeId replica = 0;  // pinned read replica
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x7191e1ULL);
-
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
+  driver.RunSessions(Rng(o.seed ^ 0x7191e1ULL), [&](int i, int n, Rng* rng,
+                                                    Driver::Done done) {
+    const std::string key = driver.Key(rng, o.keyspace);
     const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      cluster.Write(sess.node, key, value,
-                    [&, i, key, value, slot](Result<uint64_t> r) {
-                      if (r.ok()) {
-                        history[slot].acked = true;
-                        history[slot].response = s.sim.Now();
-                        acked.push_back({key, value});
-                        observe(key, *r, value);
-                        ++rep.writes_acked;
-                      } else {
-                        ++rep.writes_failed;
+      const size_t slot = h.Issue(i, key, value, invoke);
+      cluster.Write(nodes[i], key, value,
+                    [&, key, value, slot, done](Result<uint64_t> r) {
+                      if (h.Complete(slot, r.ok(), s.sim.Now())) {
+                        timeline.Observe(key, *r, value);
                       }
-                      s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                          [&, i] { next(i); });
+                      done();
                     });
     } else {
-      cluster.Read(sess.node, sess.replica, key,
+      // Each session reads at one pinned replica.
+      cluster.Read(nodes[i], servers[i % servers.size()], key,
                    repl::TimelineReadLevel::kAny, 0,
-                   [&, i, key, invoke](Result<repl::TimelineRead> r) {
-                     const int64_t response = s.sim.Now();
+                   [&, i, key, invoke, done](Result<repl::TimelineRead> r) {
                      if (r.ok()) {
                        std::vector<std::string> observed;
                        if (r->found) {
                          observed.push_back(r->value);
-                         observe(key, r->seqno, r->value);
+                         timeline.Observe(key, r->seqno, r->value);
                        }
-                       history.push_back(RecRead(i, key, std::move(observed),
-                                                 invoke, response));
-                       ++rep.reads_ok;
+                       h.Read(i, key, std::move(observed), invoke,
+                              s.sim.Now());
                      } else {
                        ++rep.reads_failed;
                      }
-                     s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                         [&, i] { next(i); });
+                     done();
                    });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->replica = servers[i % servers.size()];
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+  });
   driver.Quiesce();
-
-  rep.fork_checked = true;
 
   // Reads at a pinned replica never go backwards: monotonic reads only (a
   // lagging replica legitimately misses the session's own master writes).
@@ -1019,43 +895,8 @@ FuzzReport RunTimeline(const FuzzOptions& o) {
   sess_options.check_ryw = false;
   sess_options.check_mw = false;
   sess_options.check_wfr = false;
-  rep.session = CheckSessionGuarantees(history, sess_options);
-
-  // Replication is fire-and-forget: convergence is only promised when the
-  // schedule dropped no messages.
-  rep.conv_checked = true;
-  rep.conv_applicable = s.net.messages_dropped() == 0;
-  if (rep.conv_applicable) {
-    std::vector<ReplicaState> states;
-    for (sim::NodeId srv : servers) {
-      ReplicaState state;
-      for (int k = 0; k < o.keyspace; ++k) {
-        const std::string key = "k" + std::to_string(k);
-        // Synchronous local read through the test hook pair.
-        const uint64_t seqno = cluster.VisibleSeqno(srv, key);
-        if (seqno == 0) continue;
-        state[key] = {std::to_string(seqno)};
-      }
-      states.push_back(std::move(state));
-    }
-    // Agreement on per-key seqnos; an acked write is covered when the final
-    // timeline position is at least its own.
-    std::vector<AckedWrite> acked_seqnos;
-    for (const AckedWrite& w : acked) {
-      auto it = seqno_of.find(w.value);
-      if (it == seqno_of.end()) continue;
-      acked_seqnos.push_back({w.key, std::to_string(it->second)});
-    }
-    auto covered = [](const AckedWrite& w,
-                      const std::vector<std::string>& final_values) {
-      const uint64_t want = std::stoull(w.value);
-      for (const std::string& v : final_values) {
-        if (std::stoull(v) >= want) return true;
-      }
-      return false;
-    };
-    rep.convergence = CheckConvergence(states, acked_seqnos, covered);
-  }
+  rep.session = CheckSessionGuarantees(h.ops, sess_options);
+  timeline.Check(s, &cluster, servers, o.keyspace, h.acked);
 
   FillCommon(&rep, o, s, nemesis);
   return rep;
@@ -1092,33 +933,13 @@ FuzzReport RunEdgeCache(const FuzzOptions& o) {
   copt.crash_amnesia = o.amnesia;
   cache::EdgeCacheTier tier(&s.rpc, &cluster, copt);
 
-  std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
-  std::map<std::string, uint64_t> seqno_of;  // value -> timeline position
-  std::map<std::pair<std::string, uint64_t>, std::string> timeline;
-  auto observe = [&](const std::string& key, uint64_t seqno,
-                     const std::string& value) {
-    auto [it, inserted] = timeline.try_emplace({key, seqno}, value);
-    if (!inserted && it->second != value) ++rep.fork_violations;
-    seqno_of.emplace(value, seqno);
-  };
-
-  struct Session {
-    sim::NodeId node = 0;
-    cache::EdgeCacheClient* client = nullptr;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
+  History h(&rep);
+  TimelineLog timeline(&rep);
+  std::vector<cache::EdgeCacheClient*> clients;
   std::vector<sim::NodeId> client_nodes;
-  Rng root(o.seed ^ 0xedcecaULL);
   for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->client = tier.AddClient(sess->node);
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    client_nodes.push_back(sess->node);
-    sessions.push_back(std::move(sess));
+    client_nodes.push_back(s.net.AddNode());
+    clients.push_back(tier.AddClient(client_nodes.back()));
   }
 
   sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
@@ -1128,104 +949,46 @@ FuzzReport RunEdgeCache(const FuzzOptions& o) {
   nemesis.SetGrayTargets(client_nodes);
   Driver driver(&s, &nemesis, o);
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
+  driver.RunSessions(Rng(o.seed ^ 0xedcecaULL), [&](int i, int n, Rng* rng,
+                                                    Driver::Done done) {
+    const std::string key = driver.Key(rng, o.keyspace);
     const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      sess.client->Put(key, value,
-                       [&, i, key, value, slot](Result<uint64_t> r) {
-                         if (r.ok()) {
-                           history[slot].acked = true;
-                           history[slot].response = s.sim.Now();
-                           acked.push_back({key, value});
-                           observe(key, *r, value);
-                           ++rep.writes_acked;
-                         } else {
-                           ++rep.writes_failed;
-                         }
-                         s.sim.ScheduleAfter(
-                             driver.NextGap(&sessions[i]->rng),
-                             [&, i] { next(i); });
-                       });
+      const size_t slot = h.Issue(i, key, value, invoke);
+      clients[i]->Put(key, value,
+                      [&, key, value, slot, done](Result<uint64_t> r) {
+                        if (h.Complete(slot, r.ok(), s.sim.Now())) {
+                          timeline.Observe(key, *r, value);
+                        }
+                        done();
+                      });
     } else {
-      sess.client->Get(
+      clients[i]->Get(
           key, /*min_seqno=*/0,
-          [&, i, key, invoke](Result<cache::CachedRead> r) {
-            const int64_t response = s.sim.Now();
+          [&, i, key, invoke, done](Result<cache::CachedRead> r) {
             if (r.ok()) {
               std::vector<std::string> observed;
               if (r->found) {
                 observed.push_back(r->value);
-                observe(key, r->seqno, r->value);
+                timeline.Observe(key, r->seqno, r->value);
               }
-              history.push_back(RecRead(i, key, std::move(observed), invoke,
-                                        response, r->from_cache));
-              ++rep.reads_ok;
+              h.Read(i, key, std::move(observed), invoke, s.sim.Now(),
+                     r->from_cache);
             } else {
               ++rep.reads_failed;
             }
-            s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                [&, i] { next(i); });
+            done();
           });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+  });
   driver.Quiesce();
-
-  rep.fork_checked = true;
 
   // The whole point: ALL FOUR session guarantees, cached serves included.
   rep.sess_checked = true;
-  rep.session = CheckSessionGuarantees(history);
-
-  // Replica convergence beneath the cache (same claim as timeline:
-  // replication is fire-and-forget, so only when nothing was dropped).
-  rep.conv_checked = true;
-  rep.conv_applicable = s.net.messages_dropped() == 0;
-  if (rep.conv_applicable) {
-    std::vector<ReplicaState> states;
-    for (sim::NodeId srv : servers) {
-      ReplicaState state;
-      for (int k = 0; k < o.keyspace; ++k) {
-        const std::string key = "k" + std::to_string(k);
-        const uint64_t seqno = cluster.VisibleSeqno(srv, key);
-        if (seqno == 0) continue;
-        state[key] = {std::to_string(seqno)};
-      }
-      states.push_back(std::move(state));
-    }
-    std::vector<AckedWrite> acked_seqnos;
-    for (const AckedWrite& w : acked) {
-      auto it = seqno_of.find(w.value);
-      if (it == seqno_of.end()) continue;
-      acked_seqnos.push_back({w.key, std::to_string(it->second)});
-    }
-    auto covered = [](const AckedWrite& w,
-                      const std::vector<std::string>& final_values) {
-      const uint64_t want = std::stoull(w.value);
-      for (const std::string& v : final_values) {
-        if (std::stoull(v) >= want) return true;
-      }
-      return false;
-    };
-    rep.convergence = CheckConvergence(states, acked_seqnos, covered);
-  }
+  rep.session = CheckSessionGuarantees(h.ops);
+  // Replica convergence beneath the cache (same claim as timeline).
+  timeline.Check(s, &cluster, servers, o.keyspace, h.acked);
 
   rep.cache_hits = tier.stats().hits;
   rep.cache_misses = tier.stats().misses;
@@ -1254,57 +1017,43 @@ FuzzReport RunCausal(const FuzzOptions& o) {
   std::vector<CausalRecordedOp> history;
   std::vector<AckedWrite> acked;
   std::map<std::string, causal::WriteId> id_of;  // value -> write id
-  struct Session {
-    std::unique_ptr<causal::CausalClient> client;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0xca05a1ULL);
+  std::vector<std::unique_ptr<causal::CausalClient>> clients;
+  for (int i = 0; i < o.sessions; ++i) {
+    const sim::NodeId node = s.net.AddNode();
+    clients.push_back(std::make_unique<causal::CausalClient>(
+        &cluster, node, dcs[i % dcs.size()]));
+  }
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    if (sess.rng.NextBool(0.5)) {
+  driver.RunSessions(Rng(o.seed ^ 0xca05a1ULL), [&](int i, int n, Rng* rng,
+                                                    Driver::Done done) {
+    const std::string key = driver.Key(rng, o.keyspace);
+    CausalRecordedOp op;
+    op.session = i;
+    op.key = key;
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
+      op.kind = CausalRecordedOp::Kind::kWrite;
       // The dependency context the client will attach to this write.
-      std::vector<causal::Dependency> deps;
-      for (const auto& [dep_key, dep_id] : sess.client->context()) {
-        deps.push_back({dep_key, dep_id});
+      for (const auto& [dep_key, dep_id] : clients[i]->context()) {
+        op.deps.push_back({dep_key, dep_id});
       }
-      sess.client->Put(key, value,
-                       [&, i, key, value,
-                        deps](Result<causal::WriteId> r) {
-                         if (r.ok()) {
-                           CausalRecordedOp op;
-                           op.kind = CausalRecordedOp::Kind::kWrite;
-                           op.session = i;
-                           op.key = key;
-                           op.id = *r;
-                           op.deps = deps;
-                           history.push_back(std::move(op));
-                           acked.push_back({key, value});
-                           id_of[value] = *r;
-                           ++rep.writes_acked;
-                         } else {
-                           ++rep.writes_failed;
-                         }
-                         s.sim.ScheduleAfter(
-                             driver.NextGap(&sessions[i]->rng),
-                             [&, i] { next(i); });
-                       });
+      clients[i]->Put(key, value,
+                      [&, op, value, done](Result<causal::WriteId> r) mutable {
+                        if (r.ok()) {
+                          op.id = *r;
+                          acked.push_back({op.key, value});
+                          id_of[value] = *r;
+                          history.push_back(std::move(op));
+                          ++rep.writes_acked;
+                        } else {
+                          ++rep.writes_failed;
+                        }
+                        done();
+                      });
     } else {
-      sess.client->Get(key, [&, i, key](Result<causal::CausalRead> r) {
+      op.kind = CausalRecordedOp::Kind::kRead;
+      clients[i]->Get(key, [&, op, done](Result<causal::CausalRead> r) mutable {
         if (r.ok()) {
-          CausalRecordedOp op;
-          op.kind = CausalRecordedOp::Kind::kRead;
-          op.session = i;
-          op.key = key;
           op.found = r->found;
           if (r->found) {
             op.id = r->id;
@@ -1316,24 +1065,10 @@ FuzzReport RunCausal(const FuzzOptions& o) {
         } else {
           ++rep.reads_failed;
         }
-        s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                            [&, i] { next(i); });
+        done();
       });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    const sim::NodeId node = s.net.AddNode();
-    sess->client = std::make_unique<causal::CausalClient>(
-        &cluster, node, dcs[i % dcs.size()]);
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+  });
   driver.Quiesce();
 
   rep.causal_checked = true;
@@ -1350,7 +1085,7 @@ FuzzReport RunCausal(const FuzzOptions& o) {
     for (sim::NodeId dc : dcs) {
       ReplicaState state;
       for (int k = 0; k < o.keyspace; ++k) {
-        const std::string key = "k" + std::to_string(k);
+        const std::string key = KeyName(k);
         const causal::CausalRead r = cluster.LocalRead(dc, key);
         if (r.found) state[key] = {r.value};
       }
@@ -1437,49 +1172,26 @@ FuzzReport RunCrdt(const FuzzOptions& o, std::vector<State> replicas,
   sim::Nemesis nemesis(&s.net, nodes, NemesisSeed(o.seed));
   Driver driver(&s, &nemesis, o);
 
-  struct Session {
-    int replica = 0;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0xc4d700ULL);
-
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    ++sess.issued;
+  driver.RunSessions(Rng(o.seed ^ 0xc4d700ULL), [&](int i, int, Rng* rng,
+                                                    Driver::Done done) {
+    const int replica = i % n;
     // Ops execute locally, but only against a live replica.
-    if (s.net.IsNodeUp(nodes[sess.replica])) {
+    if (s.net.IsNodeUp(nodes[replica])) {
       if (o.amnesia) {
         // Commit to the durable copy, then fold into the live replica. All
         // tags/components a replica mints live in its durable copy, so a
         // crash can only lose state that peers still hold.
-        apply_op(&rep, &sess.rng, sess.replica, &durable[sess.replica]);
-        replicas[sess.replica].Merge(durable[sess.replica]);
+        apply_op(&rep, rng, replica, &durable[replica]);
+        replicas[replica].Merge(durable[replica]);
       } else {
-        apply_op(&rep, &sess.rng, sess.replica, &replicas[sess.replica]);
+        apply_op(&rep, rng, replica, &replicas[replica]);
       }
       ++rep.writes_acked;
     } else {
       ++rep.writes_failed;
     }
-    s.sim.ScheduleAfter(driver.NextGap(&sess.rng), [&, i] { next(i); });
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->replica = i % n;
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+    done();
+  });
   driver.Quiesce([&] {
     for (int i = 1; i < n; ++i) {
       if (!(replicas[i] == replicas[0])) return false;
@@ -1492,6 +1204,7 @@ FuzzReport RunCrdt(const FuzzOptions& o, std::vector<State> replicas,
   FillCommon(&rep, o, s, nemesis);
   return rep;
 }
+
 
 FuzzReport RunGCounter(const FuzzOptions& o) {
   std::vector<crdt::GCounter> replicas(o.servers);
@@ -1563,14 +1276,14 @@ FuzzReport RunOrSet(const FuzzOptions& o) {
 FuzzReport RunFuzzSeed(const FuzzOptions& options) {
   switch (options.store) {
     case FuzzStore::kPaxos: return RunPaxos(options);
-    case FuzzStore::kQuorumStrict: return RunQuorum(options, true);
-    case FuzzStore::kQuorumWeak: return RunQuorum(options, false);
+    case FuzzStore::kQuorumStrict:
+    case FuzzStore::kQuorumWeak:
+    case FuzzStore::kQuorumElastic: return RunQuorum(options);
     case FuzzStore::kTimeline: return RunTimeline(options);
     case FuzzStore::kCausal: return RunCausal(options);
     case FuzzStore::kGCounter: return RunGCounter(options);
     case FuzzStore::kOrSet: return RunOrSet(options);
     case FuzzStore::kEdgeCache: return RunEdgeCache(options);
-    case FuzzStore::kQuorumElastic: return RunQuorumElastic(options);
   }
   return {};
 }

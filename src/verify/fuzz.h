@@ -26,6 +26,11 @@
 //   edge-cache       | ALL FOUR session guarantees through the cache (a
 //                    | served lease implies no newer acked write), timeline
 //                    | fork-freedom, convergence when no message was dropped
+//   quorum-elastic   | the strict quorum's claims ACROSS live membership
+//                    | changes: convergence over the final membership, no
+//                    | lost acked writes, all four session guarantees (not
+//                    | claimed with elastic_sloppy, which trades RYW for
+//                    | hint traffic)
 //
 // Every run is a pure function of (store, seed): a failing seed replays
 // bit-identically (tools/evc_fuzz --store=... --seed=...).

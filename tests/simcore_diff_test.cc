@@ -59,11 +59,11 @@ void ExpectIdenticalRuns(FuzzStore store, uint64_t seed) {
       << ToString(store) << " seed " << seed << ": trace exports diverged";
 }
 
-// 25 seeds, spread across all eight stores so every protocol layer's event
+// 27 seeds, spread across all nine stores so every protocol layer's event
 // pattern (RPC timeout churn, gossip fan-out, primary failover, CRDT
-// broadcast, lease revoke fan-out) and every nemesis profile runs under
-// both schedulers. Paxos gets one seed (its runs are the slowest): 25
-// total.
+// broadcast, lease revoke fan-out, membership reconfiguration) and every
+// nemesis profile runs under both schedulers. Paxos gets one seed (its runs
+// are the slowest) and the elastic quorum two: 27 total.
 TEST(SimcoreDiffTest, TwentyFiveSeedsByteIdenticalAcrossSchedulers) {
   struct Case {
     FuzzStore store;
@@ -74,6 +74,7 @@ TEST(SimcoreDiffTest, TwentyFiveSeedsByteIdenticalAcrossSchedulers) {
       {FuzzStore::kQuorumWeak, 4},   {FuzzStore::kTimeline, 3},
       {FuzzStore::kCausal, 3},       {FuzzStore::kGCounter, 3},
       {FuzzStore::kOrSet, 3},        {FuzzStore::kEdgeCache, 4},
+      {FuzzStore::kQuorumElastic, 2},
   };
   int total = 0;
   for (const Case& c : plan) {
@@ -82,7 +83,7 @@ TEST(SimcoreDiffTest, TwentyFiveSeedsByteIdenticalAcrossSchedulers) {
       ++total;
     }
   }
-  EXPECT_EQ(total, 25);
+  EXPECT_EQ(total, 27);
 }
 
 // Amnesia-crash schedules exercise the CrashParticipant notification path

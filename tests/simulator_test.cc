@@ -295,7 +295,9 @@ TEST_P(SchedulerTest, DestructorCancellingOwnEventDuringRunIsSafe) {
     Simulator* sim = nullptr;
     EventId id = 0;
     ~TimerOwner() {
-      if (id != 0) EXPECT_FALSE(sim->Cancel(id));
+      if (id != 0) {
+        EXPECT_FALSE(sim->Cancel(id));
+      }
     }
   };
   auto owner = std::make_shared<TimerOwner>();

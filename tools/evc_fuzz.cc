@@ -28,6 +28,8 @@
 // Exit code: 0 when every store met its claims on every seed, 1 otherwise.
 // A failing run prints the exact --store/--seed pair to reproduce it.
 
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -148,6 +150,20 @@ void Usage(const char* argv0) {
   std::fprintf(stderr, "\n");
 }
 
+/// Parses a whole base-10 unsigned number. strtoull alone would accept
+/// leading blanks, a sign, or trailing junk, and read "abc" as 0.
+bool ParseU64(const char* text, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno != 0) {
+    std::fprintf(stderr, "not a number: '%s'\n", text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* cli) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -156,12 +172,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
       return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
     };
     if (const char* v = value_of("--seeds=")) {
-      cli->seeds = std::atoi(v);
-      if (cli->seeds <= 0) return false;
+      uint64_t seeds = 0;
+      if (!ParseU64(v, &seeds) || seeds == 0 || seeds > INT_MAX) return false;
+      cli->seeds = static_cast<int>(seeds);
     } else if (const char* v = value_of("--first-seed=")) {
-      cli->first_seed = std::strtoull(v, nullptr, 10);
+      if (!ParseU64(v, &cli->first_seed)) return false;
     } else if (const char* v = value_of("--seed=")) {
-      cli->single_seed = std::strtoull(v, nullptr, 10);
+      uint64_t seed = 0;
+      if (!ParseU64(v, &seed)) return false;
+      cli->single_seed = seed;
     } else if (const char* v = value_of("--store=")) {
       evc::verify::FuzzStore store;
       if (!evc::verify::ParseFuzzStore(v, &store)) {
