@@ -24,8 +24,7 @@ void EdgeCacheClient::Get(const std::string& key, uint64_t min_seqno,
   }
   if (it != cache_.end() && it->second.seqno >= min_seqno) {
     const Entry& e = it->second;
-    ++tier_->stats_.hits;
-    tier_->c_hits_->Inc();
+    tier_->stats_.hits.Inc(tier_->Obs());
     tier_->h_hit_age_us_->Add(static_cast<double>(now - e.fetched_at));
     CachedRead out;
     out.found = e.found;
@@ -38,10 +37,9 @@ void EdgeCacheClient::Get(const std::string& key, uint64_t min_seqno,
   }
   if (it != cache_.end()) {
     // Live lease, but below the caller's freshness floor.
-    ++tier_->stats_.bypasses;
+    tier_->stats_.bypasses.Inc(tier_->Obs());
   } else {
-    ++tier_->stats_.misses;
-    tier_->c_misses_->Inc();
+    tier_->stats_.misses.Inc(tier_->Obs());
   }
   const sim::NodeId master = tier_->cluster_->MasterOf(key);
   tier_->rpc_->Call(
@@ -99,7 +97,7 @@ void EdgeCacheClient::Put(const std::string& key, std::string value,
 }
 
 void EdgeCacheClient::HandleRevoke(const std::string& key, uint64_t lease_id) {
-  ++tier_->stats_.revokes_received;
+  tier_->stats_.revokes_received.Inc(tier_->Obs());
   uint64_t& floor = revoked_floor_[key];
   floor = std::max(floor, lease_id);
   auto it = cache_.find(key);
@@ -124,15 +122,13 @@ EdgeCacheTier::EdgeCacheTier(sim::Rpc* rpc, repl::TimelineCluster* cluster,
   EVC_CHECK(options_.lease_ttl > 0);
   m_read_ = rpc_->InternMethod("cache.read");
   m_revoke_ = rpc_->InternMethod("cache.revoke");
-  obs::MetricsRegistry& g = rpc_->simulator()->metrics().global();
-  c_hits_ = &g.CounterFor("cache.hits");
-  c_misses_ = &g.CounterFor("cache.misses");
-  c_grants_ = &g.CounterFor("cache.grants");
-  c_revokes_sent_ = &g.CounterFor("cache.revokes_sent");
-  c_revokes_expired_ = &g.CounterFor("cache.revokes_expired");
-  c_writes_gated_ = &g.CounterFor("cache.writes_gated");
-  c_writes_fenced_ = &g.CounterFor("cache.writes_fenced");
-  c_master_move_fences_ = &g.CounterFor("cache.master_move_fences");
+  obs::MetricsRegistry& g = Obs();
+  for (obs::Tally* t :
+       {&stats_.hits, &stats_.misses, &stats_.grants, &stats_.revokes_sent,
+        &stats_.revokes_expired, &stats_.writes_gated, &stats_.writes_fenced,
+        &stats_.master_move_fences}) {
+    t->Inc(g, 0);
+  }
   h_hit_age_us_ = &g.HistogramFor("cache.hit_age_us");
   for (sim::NodeId node : cluster_->Servers()) AttachServer(node);
   cluster_->SetWriteGate([this](sim::NodeId master, const std::string& key,
@@ -170,8 +166,7 @@ void EdgeCacheTier::OnMasterMove(const std::string& key,
     const sim::Time until = rpc_->simulator()->Now() + options_.lease_ttl;
     sim::Time& fence = new_st->key_fence_until[key];
     fence = std::max(fence, until);
-    ++stats_.master_move_fences;
-    c_master_move_fences_->Inc();
+    stats_.master_move_fences.Inc(Obs());
   }
 }
 
@@ -253,13 +248,12 @@ void EdgeCacheTier::HandleCacheRead(ServerState* st, sim::NodeId from,
   if (st->writes_pending.find(req.key) != st->writes_pending.end()) {
     // A write's revocation is in flight on this key: serve lease-less so no
     // grant can slip in behind the revoke snapshot (writer liveness).
-    ++stats_.grants_suppressed;
+    stats_.grants_suppressed.Inc(Obs());
   } else {
     reply.granted = true;
     reply.lease =
         st->registry.Grant(req.key, from, rpc_->simulator()->Now());
-    ++stats_.grants;
-    c_grants_->Inc();
+    stats_.grants.Inc(Obs());
   }
   respond(std::move(reply));
 }
@@ -273,8 +267,7 @@ void EdgeCacheTier::GateWrite(sim::NodeId master, const std::string& key,
   if (st->fence_until > now) {
     // Crash-recovery fence: the restarted master forgot its lease table, so
     // it may not ack a write until every pre-crash lease has expired.
-    ++stats_.writes_fenced;
-    c_writes_fenced_->Inc();
+    stats_.writes_fenced.Inc(Obs());
     sim->ScheduleAt(st->fence_until, [this, master, key,
                                       release = std::move(release)]() mutable {
       GateWrite(master, key, std::move(release));
@@ -286,8 +279,7 @@ void EdgeCacheTier::GateWrite(sim::NodeId master, const std::string& key,
     if (kf->second > now) {
       // Master-move fence: leases the previous master granted on this key
       // are invisible to us; wait them out before acking (see OnMasterMove).
-      ++stats_.writes_fenced;
-      c_writes_fenced_->Inc();
+      stats_.writes_fenced.Inc(Obs());
       sim->ScheduleAt(kf->second, [this, master, key,
                                    release = std::move(release)]() mutable {
         GateWrite(master, key, std::move(release));
@@ -302,8 +294,7 @@ void EdgeCacheTier::GateWrite(sim::NodeId master, const std::string& key,
     release(Status::OK());
     return;
   }
-  ++stats_.writes_gated;
-  c_writes_gated_->Inc();
+  stats_.writes_gated.Inc(Obs());
   // Suppress grants until release; survives a master crash (see ServerState).
   ++st->writes_pending[key];
   batch->release = std::move(release);
@@ -323,8 +314,7 @@ void EdgeCacheTier::Pump(ServerState* st, const std::string& key,
 void EdgeCacheTier::RevokeOne(ServerState* st, const std::string& key,
                               LeaseHolder holder,
                               std::shared_ptr<RevokeBatch> batch) {
-  ++stats_.revokes_sent;
-  c_revokes_sent_->Inc();
+  stats_.revokes_sent.Inc(Obs());
   resilience::CallOptions co;
   co.attempt_timeout = options_.revoke_timeout;
   co.max_attempts = options_.revoke_attempts;
@@ -337,7 +327,7 @@ void EdgeCacheTier::RevokeOne(ServerState* st, const std::string& key,
         --batch->inflight;
         Pump(st, key, batch);
         if (r.ok()) {
-          ++stats_.revokes_acked;
+          stats_.revokes_acked.Inc(Obs());
           st->registry.Release(key, holder.holder, holder.lease.id);
           Complete(st, key, batch);
           return;
@@ -345,8 +335,7 @@ void EdgeCacheTier::RevokeOne(ServerState* st, const std::string& key,
         // Unreachable holder (partition, gray degradation, crash): it
         // cannot serve the entry past its expiry, so waiting the TTL out
         // is as good as an ack.
-        ++stats_.revokes_expired;
-        c_revokes_expired_->Inc();
+        stats_.revokes_expired.Inc(Obs());
         sim::Simulator* sim = rpc_->simulator();
         const sim::Time at = std::max(holder.lease.expiry, sim->Now());
         sim->ScheduleAt(at,

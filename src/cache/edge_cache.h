@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "cache/lease_registry.h"
+#include "obs/metrics.h"
 #include "replication/timeline_store.h"
 #include "resilience/resilient_rpc.h"
 #include "sim/rpc.h"
@@ -82,18 +83,19 @@ struct EdgeCacheOptions {
 
 /// Tier-wide monotonic counters (client + server side pooled).
 struct CacheStats {
-  uint64_t hits = 0;      ///< served from a live lease
-  uint64_t misses = 0;    ///< no entry, or lease expired
-  uint64_t bypasses = 0;  ///< live entry below the caller's min_seqno floor
-  uint64_t grants = 0;
-  uint64_t grants_suppressed = 0;  ///< read served lease-less (write gated)
-  uint64_t revokes_sent = 0;
-  uint64_t revokes_acked = 0;
-  uint64_t revokes_expired = 0;  ///< holder unreachable; TTL waited out
-  uint64_t revokes_received = 0;
-  uint64_t writes_gated = 0;   ///< writes that met >=1 outstanding lease
-  uint64_t writes_fenced = 0;  ///< writes delayed by a crash-recovery fence
-  uint64_t master_move_fences = 0;  ///< key fences installed on master moves
+  obs::Tally hits{"cache.hits"};      ///< served from a live lease
+  obs::Tally misses{"cache.misses"};  ///< no entry, or lease expired
+  obs::Tally bypasses;  ///< live entry below the caller's min_seqno floor
+  obs::Tally grants{"cache.grants"};
+  obs::Tally grants_suppressed;  ///< read served lease-less (write gated)
+  obs::Tally revokes_sent{"cache.revokes_sent"};
+  obs::Tally revokes_acked;
+  obs::Tally revokes_expired{"cache.revokes_expired"};  ///< TTL waited out
+  obs::Tally revokes_received;
+  obs::Tally writes_gated{"cache.writes_gated"};    ///< met >=1 live lease
+  obs::Tally writes_fenced{"cache.writes_fenced"};  ///< crash-recovery fence
+  /// Key fences installed on master moves.
+  obs::Tally master_move_fences{"cache.master_move_fences"};
 };
 
 /// A read served by the cache tier.
@@ -245,6 +247,8 @@ class EdgeCacheTier : private sim::CrashParticipant {
   // its cache; a restarted server fences writes for one ttl.
   void OnCrash(uint32_t node) override;
   void OnRestart(uint32_t node) override;
+  /// Global registry of the owning simulator (cache.* instruments).
+  obs::MetricsRegistry& Obs() { return rpc_->simulator()->metrics().global(); }
 
   sim::Rpc* rpc_;
   repl::TimelineCluster* cluster_;
@@ -254,15 +258,6 @@ class EdgeCacheTier : private sim::CrashParticipant {
   std::map<sim::NodeId, std::unique_ptr<ServerState>> servers_;
   std::map<sim::NodeId, std::unique_ptr<EdgeCacheClient>> clients_;
   CacheStats stats_;
-  // Cached cache.* instruments (global registry).
-  obs::Counter* c_hits_ = nullptr;
-  obs::Counter* c_misses_ = nullptr;
-  obs::Counter* c_grants_ = nullptr;
-  obs::Counter* c_revokes_sent_ = nullptr;
-  obs::Counter* c_revokes_expired_ = nullptr;
-  obs::Counter* c_writes_gated_ = nullptr;
-  obs::Counter* c_writes_fenced_ = nullptr;
-  obs::Counter* c_master_move_fences_ = nullptr;
   Histogram* h_hit_age_us_ = nullptr;
   sim::CrashRegistrar crash_registrar_;
 };

@@ -119,8 +119,7 @@ void CausalCluster::RegisterHandlers(Datacenter* dc) {
         auto put = std::move(req).Take<PutReq>();
         // A local put's dependencies are always satisfied locally: the
         // client read them from this very datacenter.
-        ++stats_.writes;
-        Obs().CounterFor("causal.writes").Inc();
+        stats_.writes.Inc(Obs());
         const WriteId id{++dc->lamport, dc->index};
         ReplicatedWrite write;
         write.key = put.key;
@@ -142,13 +141,11 @@ void CausalCluster::RegisterHandlers(Datacenter* dc) {
         auto write = std::move(msg.payload).Take<ReplicatedWrite>();
         write.arrived_at = rpc_->simulator()->Now();
         if (DepsSatisfied(*dc, write.deps)) {
-          ++stats_.remote_applied_immediately;
-          Obs().CounterFor("causal.remote_applied_immediately").Inc();
+          stats_.remote_applied_immediately.Inc(Obs());
           ApplyWrite(dc, write);
           DrainPending(dc);
         } else {
-          ++stats_.remote_deferred;
-          Obs().CounterFor("causal.remote_deferred").Inc();
+          stats_.remote_deferred.Inc(Obs());
           dc->pending.push_back(std::move(write));
         }
       });
@@ -315,8 +312,7 @@ void CausalCluster::OnCrash(uint32_t node) {
   // Deferred remote writes die with the buffer; their origin DC already
   // applied them, so this is a real (counted) replication gap until the
   // writer's side re-converges the key some other way.
-  stats_.pending_dropped += dc->pending.size();
-  Obs().CounterFor("causal.pending_dropped").Inc(dc->pending.size());
+  stats_.pending_dropped.Inc(Obs(), dc->pending.size());
   uint64_t dropped = 0;
   for (const auto& [key, rec] : dc->data) {
     dropped += key.size() + rec.value.size();

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "obs/metrics.h"
 #include "sim/rpc.h"
 #include "storage/wal.h"
 
@@ -67,13 +68,14 @@ struct CausalOptions {
 };
 
 struct CausalStats {
-  uint64_t writes = 0;
-  uint64_t remote_applied_immediately = 0;  ///< dep check passed on arrival
-  uint64_t remote_deferred = 0;             ///< buffered awaiting deps
+  obs::Tally writes{"causal.writes"};
+  /// Dep check passed on arrival.
+  obs::Tally remote_applied_immediately{"causal.remote_applied_immediately"};
+  obs::Tally remote_deferred{"causal.remote_deferred"};  ///< awaiting deps
   /// Dep-waiting remote writes lost to a crash before they could apply.
   /// The origin DC already applied them, so convergence for those keys
   /// depends on re-replication — a crash-window the checkers must excuse.
-  uint64_t pending_dropped = 0;
+  obs::Tally pending_dropped{"causal.pending_dropped"};
   OnlineStats dep_wait_us;                  ///< buffering time of deferred writes
 };
 

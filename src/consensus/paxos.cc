@@ -153,7 +153,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
         } else {
           // Ballot conflict: a competing (would-be) leader holds a higher
           // promise at this acceptor.
-          Obs().CounterFor("paxos.accept_conflicts").Inc();
+          accept_conflicts_.Inc(Obs());
         }
         reply.promised_ballot = server->promised;
         respond(reply);
@@ -180,8 +180,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
           const uint64_t my_watermark = WatermarkOf(server->slots);
           if (hb.chosen_watermark > my_watermark &&
               hb.leader != server->node) {
-            ++stats_.catchups;
-            Obs().CounterFor("paxos.catchups").Inc();
+            stats_.catchups.Inc(Obs());
             CatchupReq req{my_watermark};
             rpc_->Call(server->node, hb.leader, m_catchup_, req,
                        4 * options_.rpc_timeout,
@@ -239,8 +238,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
               if (pending->decided) return;
               pending->decided = true;
               server->in_flight.erase(pending->slot);
-              ++stats_.proposals_failed;
-              Obs().CounterFor("paxos.proposals_failed").Inc();
+              stats_.proposals_failed.Inc(Obs());
               pending->done(Status::TimedOut("proposal timed out"));
             });
         ProposeInSlot(server, pending->slot, pending->encoded, pending);
@@ -277,8 +275,7 @@ void PaxosCluster::ScheduleElectionCheck(Server* server) {
 void PaxosCluster::StartElection(Server* server) {
   if (!rpc_->network()->IsNodeUp(server->node)) return;
   server->electing = true;
-  ++stats_.elections_started;
-  Obs().CounterFor("paxos.elections").Inc();
+  stats_.elections_started.Inc(Obs());
   const uint64_t round =
       std::max({server->promised.round, server->ballot.round,
                 server->leader_ballot.round}) +
@@ -340,8 +337,7 @@ void PaxosCluster::BecomeLeader(Server* server,
   server->has_leader_hint = true;
   server->leader_hint = server->node;
   server->leader_ballot = server->ballot;
-  ++stats_.leaderships_won;
-  Obs().CounterFor("paxos.leaderships_won").Inc();
+  stats_.leaderships_won.Inc(Obs());
 
   // Adopt chosen entries and the highest-ballot accepted value per open slot.
   std::map<uint64_t, std::pair<Ballot, std::string>> open;
@@ -507,8 +503,7 @@ void PaxosCluster::OnChosen(Server* server, uint64_t slot,
       if (options_.journal_acceptor_state) {
         EVC_CHECK(state.chosen_value == value);
       }
-      ++stats_.chosen_conflicts;
-      Obs().CounterFor("paxos.chosen_conflicts").Inc();
+      stats_.chosen_conflicts.Inc(Obs());
     }
     return;
   }
@@ -535,14 +530,14 @@ void PaxosCluster::ApplyReady(Server* server) {
         if (cmd.op_id == 0 || server->applied_ops.insert(cmd.op_id).second) {
           server->kv[cmd.key] = cmd.value;
         } else {
-          Obs().CounterFor("paxos.dedup_hits").Inc();
+          dedup_hits_.Inc(Obs());
         }
         break;
       case Command::Type::kDelete:
         if (cmd.op_id == 0 || server->applied_ops.insert(cmd.op_id).second) {
           server->kv.erase(cmd.key);
         } else {
-          Obs().CounterFor("paxos.dedup_hits").Inc();
+          dedup_hits_.Inc(Obs());
         }
         break;
       case Command::Type::kGet: {
@@ -559,7 +554,7 @@ void PaxosCluster::ApplyReady(Server* server) {
         // race, so a retry must still observe "created".
         auto kv_it = server->kv.find(cmd.key);
         if (cmd.op_id != 0 && server->applied_ops.count(cmd.op_id) > 0) {
-          Obs().CounterFor("paxos.dedup_hits").Inc();
+          dedup_hits_.Inc(Obs());
           exec.found = false;
           exec.value = cmd.value;
         } else if (kv_it == server->kv.end()) {
@@ -574,8 +569,7 @@ void PaxosCluster::ApplyReady(Server* server) {
         break;
       }
     }
-    ++stats_.commands_applied;
-    Obs().CounterFor("paxos.commands_applied").Inc();
+    stats_.commands_applied.Inc(Obs());
     ++server->applied_index;
     // Complete the client's proposal if this server coordinated it.
     auto pending_it = server->in_flight.find(slot);
@@ -586,13 +580,11 @@ void PaxosCluster::ApplyReady(Server* server) {
         pending->decided = true;
         rpc_->simulator()->Cancel(pending->timeout_event);
         if (pending->op_id == cmd.op_id) {
-          ++stats_.proposals_ok;
-          Obs().CounterFor("paxos.proposals_ok").Inc();
+          stats_.proposals_ok.Inc(Obs());
           pending->done(exec);
         } else {
           // Another leader filled our slot with a different command.
-          ++stats_.proposals_failed;
-          Obs().CounterFor("paxos.proposals_failed").Inc();
+          stats_.proposals_failed.Inc(Obs());
           pending->done(Status::Aborted("slot taken by another command"));
         }
       }
@@ -741,8 +733,7 @@ void PaxosCluster::StepDown(Server* server, const Ballot& seen) {
     if (!pending->decided) {
       pending->decided = true;
       rpc_->simulator()->Cancel(pending->timeout_event);
-      ++stats_.proposals_failed;
-      Obs().CounterFor("paxos.proposals_failed").Inc();
+      stats_.proposals_failed.Inc(Obs());
       pending->done(Status::Aborted("leadership lost"));
     }
   }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "resilience/detector.h"
 #include "resilience/retry.h"
 #include "sim/rpc.h"
@@ -89,16 +90,16 @@ struct PaxosOptions {
 };
 
 struct PaxosStats {
-  uint64_t elections_started = 0;
-  uint64_t leaderships_won = 0;
-  uint64_t proposals_ok = 0;
-  uint64_t proposals_failed = 0;
-  uint64_t commands_applied = 0;
-  uint64_t catchups = 0;
+  obs::Tally elections_started{"paxos.elections"};
+  obs::Tally leaderships_won{"paxos.leaderships_won"};
+  obs::Tally proposals_ok{"paxos.proposals_ok"};
+  obs::Tally proposals_failed{"paxos.proposals_failed"};
+  obs::Tally commands_applied{"paxos.commands_applied"};
+  obs::Tally catchups{"paxos.catchups"};
   /// Slots observed chosen with two different values — impossible when
   /// acceptors journal their state, possible (and counted instead of
   /// crashing) when journal_acceptor_state is off under amnesia crashes.
-  uint64_t chosen_conflicts = 0;
+  obs::Tally chosen_conflicts{"paxos.chosen_conflicts"};
 };
 
 /// A cluster of Paxos servers with a replicated KV state machine.
@@ -270,6 +271,10 @@ class PaxosCluster : private sim::CrashParticipant {
   std::vector<std::unique_ptr<Server>> servers_;
   std::map<sim::NodeId, Server*> by_node_;
   PaxosStats stats_;
+  /// Accepts refused: a competing leader holds a higher promise.
+  obs::Tally accept_conflicts_{"paxos.accept_conflicts"};
+  /// Applies skipped: the command's op id already applied.
+  obs::Tally dedup_hits_{"paxos.dedup_hits"};
   sim::CrashRegistrar crash_registrar_;
   Rng rng_;
   uint64_t next_op_id_ = 1;

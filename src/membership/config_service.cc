@@ -41,8 +41,7 @@ ConfigService::ConfigService(sim::Rpc* rpc, consensus::PaxosCluster* paxos,
       [this](sim::NodeId from, sim::Payload request,
              sim::RpcResponder respond) {
         const auto req = std::move(request).Take<CatchUpReq>();
-        ++stats_.catch_up_reports;
-        Obs().CounterFor("cfg.catchup_reports").Inc();
+        stats_.catch_up_reports.Inc(Obs());
         if (prepared_.has_value() && req.epoch == prepared_->epoch &&
             !committing_) {
           received_reports_.insert(from);
@@ -163,8 +162,7 @@ void ConfigService::ProposeView(MembershipView view, DoneCallback done) {
           done(Status::Aborted("epoch already claimed"));
           return;
         }
-        ++stats_.reconfigs_proposed;
-        Obs().CounterFor("cfg.reconfigs_proposed").Inc();
+        stats_.reconfigs_proposed.Inc(Obs());
         prepared_ = view;
         committing_ = false;
         received_reports_.clear();
@@ -179,8 +177,7 @@ void ConfigService::ProposeView(MembershipView view, DoneCallback done) {
             options_.catch_up_timeout, [this, epoch] {
               if (prepared_.has_value() && prepared_->epoch == epoch &&
                   !committing_) {
-                ++stats_.commit_timeouts;
-                Obs().CounterFor("cfg.commit_timeouts").Inc();
+                stats_.commit_timeouts.Inc(Obs());
                 StartCommit();
               }
             });
@@ -211,8 +208,7 @@ void ConfigService::StartCommit() {
         committing_ = false;
         received_reports_.clear();
         required_reports_.clear();
-        ++stats_.commits;
-        Obs().CounterFor("cfg.commits").Inc();
+        stats_.commits.Inc(Obs());
         Broadcast();
       });
 }
@@ -235,9 +231,8 @@ void ConfigService::Broadcast() {
   for (const auto& [node, handler] : subscribers_) {
     (void)handler;
     rpc_->network()->Send(node_, node, t_view_, Snapshot());
-    ++stats_.view_broadcasts;
   }
-  Obs().CounterFor("cfg.view_broadcasts").Inc(subscribers_.size());
+  stats_.view_broadcasts.Inc(Obs(), subscribers_.size());
 }
 
 void ConfigService::Fetch(sim::NodeId from,

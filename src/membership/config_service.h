@@ -36,6 +36,7 @@
 
 #include "consensus/paxos.h"
 #include "membership/view.h"
+#include "obs/metrics.h"
 #include "sim/rpc.h"
 
 namespace evc::membership {
@@ -51,11 +52,11 @@ struct ConfigOptions {
 };
 
 struct ConfigStats {
-  uint64_t reconfigs_proposed = 0;
-  uint64_t commits = 0;
-  uint64_t commit_timeouts = 0;
-  uint64_t catch_up_reports = 0;
-  uint64_t view_broadcasts = 0;
+  obs::Tally reconfigs_proposed{"cfg.reconfigs_proposed"};
+  obs::Tally commits{"cfg.commits"};
+  obs::Tally commit_timeouts{"cfg.commit_timeouts"};
+  obs::Tally catch_up_reports{"cfg.catchup_reports"};
+  obs::Tally view_broadcasts{"cfg.view_broadcasts"};
 };
 
 /// The full published state: the committed view plus the prepared successor

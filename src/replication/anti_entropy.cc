@@ -52,13 +52,6 @@ void AntiEntropy::MarkDeparted(sim::NodeId node) {
   departed_[it->second] = true;
 }
 
-obs::Counter& AntiEntropy::Ctr(obs::Counter** slot, const char* name) {
-  if (*slot == nullptr) {
-    *slot = &network_->simulator()->metrics().global().CounterFor(name);
-  }
-  return **slot;
-}
-
 void AntiEntropy::RegisterHandlers(size_t index) {
   // Receiving a sync request: compare leaves, merge nothing yet (we do not
   // have the sender's keys), reply with our keys for divergent buckets and
@@ -75,11 +68,8 @@ void AntiEntropy::RegisterHandlers(size_t index) {
             }
           }
           reply.keys = storage->CollectBuckets(reply.divergent_buckets);
-          stats_.buckets_exchanged += reply.divergent_buckets.size();
-          stats_.keys_shipped += reply.keys.size();
-          Ctr(&c_buckets_exchanged_, "ae.buckets_exchanged")
-              .Inc(reply.divergent_buckets.size());
-          Ctr(&c_keys_shipped_, "ae.keys_shipped").Inc(reply.keys.size());
+          stats_.buckets_exchanged.Inc(Obs(), reply.divergent_buckets.size());
+          stats_.keys_shipped.Inc(Obs(), reply.keys.size());
         }
         network_->Send(msg.to, msg.from, t_sync_rsp_, std::move(reply));
       });
@@ -95,8 +85,7 @@ void AntiEntropy::RegisterHandlers(size_t index) {
         }
         if (options_.push_pull && !reply.divergent_buckets.empty()) {
           auto mine = storage->CollectBuckets(reply.divergent_buckets);
-          stats_.keys_shipped += mine.size();
-          Ctr(&c_keys_shipped_, "ae.keys_shipped").Inc(mine.size());
+          stats_.keys_shipped.Inc(Obs(), mine.size());
           network_->Send(msg.to, msg.from, t_push_, std::move(mine));
         }
       });
@@ -117,8 +106,7 @@ void AntiEntropy::GossipRound(size_t index) {
   // converging anyone, and pulling state back onto it would fight the
   // migration that just moved that state off.
   if (departed_[index]) return;
-  ++stats_.rounds;
-  Ctr(&c_rounds_, "ae.rounds").Inc();
+  stats_.rounds.Inc(Obs());
   ReplicaStorage* storage = storages_[index];
   for (int f = 0; f < options_.fanout; ++f) {
     if (nodes_.size() < 2) return;
@@ -138,15 +126,13 @@ void AntiEntropy::GossipRound(size_t index) {
       // peers now count as skips, same as detector-suspect ones. (Static
       // runs have no departed entries — rng draw order is untouched.)
       if (departed_[candidate]) {
-        ++stats_.peers_skipped;
-        Ctr(&c_peer_skips_, "ae.peer_skips").Inc();
+        stats_.peers_skipped.Inc(Obs());
         if (++rejected >= 8) break;
         continue;
       }
       if (options_.peer_usable &&
           !options_.peer_usable(nodes_[index], nodes_[candidate])) {
-        ++stats_.peers_skipped;
-        Ctr(&c_peer_skips_, "ae.peer_skips").Inc();
+        stats_.peers_skipped.Inc(Obs());
         if (++rejected >= 8) break;
         continue;
       }
@@ -156,8 +142,7 @@ void AntiEntropy::GossipRound(size_t index) {
       if (options_.load_of && options_.load_of(nodes_[index],
                                                nodes_[candidate]) >=
                                   options_.yield_load) {
-        ++stats_.peers_yielded;
-        Ctr(&c_load_yields_, "ae.load_yields").Inc();
+        stats_.peers_yielded.Inc(Obs());
         if (++rejected >= 8) break;
         continue;
       }
@@ -173,8 +158,7 @@ void AntiEntropy::GossipRound(size_t index) {
     for (size_t b = 0; b < leaves; ++b) {
       req.leaf_digests.push_back(storage->merkle().LeafDigest(b));
     }
-    stats_.digests_shipped += leaves + 1;
-    Ctr(&c_digests_shipped_, "ae.digests_shipped").Inc(leaves + 1);
+    stats_.digests_shipped.Inc(Obs(), leaves + 1);
     network_->Send(nodes_[index], nodes_[peer], t_sync_req_, std::move(req));
   }
 }
@@ -199,24 +183,19 @@ void AntiEntropy::GossipTick(size_t index) {
 bool AntiEntropy::SyncPair(size_t a_index, size_t b_index) {
   ReplicaStorage* a = storages_[a_index];
   ReplicaStorage* b = storages_[b_index];
-  ++stats_.rounds;
-  Ctr(&c_rounds_, "ae.rounds").Inc();
+  stats_.rounds.Inc(Obs());
   if (a->merkle().RootDigest() == b->merkle().RootDigest()) {
-    ++stats_.syncs_skipped;
-    Ctr(&c_syncs_skipped_, "ae.syncs_skipped").Inc();
+    stats_.syncs_skipped.Inc(Obs());
     return false;
   }
   uint64_t compared = 0;
   std::vector<size_t> divergent =
       MerkleTree::DiffLeaves(a->merkle(), b->merkle(), &compared);
-  stats_.digests_shipped += compared;
-  stats_.buckets_exchanged += divergent.size();
-  Ctr(&c_digests_shipped_, "ae.digests_shipped").Inc(compared);
-  Ctr(&c_buckets_exchanged_, "ae.buckets_exchanged").Inc(divergent.size());
+  stats_.digests_shipped.Inc(Obs(), compared);
+  stats_.buckets_exchanged.Inc(Obs(), divergent.size());
   auto from_a = a->CollectBuckets(divergent);
   auto from_b = b->CollectBuckets(divergent);
-  stats_.keys_shipped += from_a.size() + from_b.size();
-  Ctr(&c_keys_shipped_, "ae.keys_shipped").Inc(from_a.size() + from_b.size());
+  stats_.keys_shipped.Inc(Obs(), from_a.size() + from_b.size());
   bool changed = false;
   for (const auto& [key, versions] : from_a) {
     changed |= b->MergeRemote(key, versions);

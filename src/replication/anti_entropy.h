@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/network.h"
 #include "storage/replica_storage.h"
 
@@ -39,13 +40,13 @@ struct AntiEntropyOptions {
 };
 
 struct AntiEntropyStats {
-  uint64_t rounds = 0;            ///< gossip rounds initiated
-  uint64_t syncs_skipped = 0;     ///< roots matched, nothing to do
-  uint64_t buckets_exchanged = 0; ///< divergent leaf buckets shipped
-  uint64_t keys_shipped = 0;      ///< (key, sibling-set) payloads sent
-  uint64_t digests_shipped = 0;   ///< leaf digests sent (root probes too)
-  uint64_t peers_skipped = 0;     ///< draws rejected by peer_usable
-  uint64_t peers_yielded = 0;     ///< draws skipped: peer reported load
+  obs::Tally rounds{"ae.rounds"};  ///< gossip rounds initiated
+  obs::Tally syncs_skipped{"ae.syncs_skipped"};  ///< roots matched, no-op
+  obs::Tally buckets_exchanged{"ae.buckets_exchanged"};  ///< divergent leaves
+  obs::Tally keys_shipped{"ae.keys_shipped"};  ///< (key, sibling-set) payloads
+  obs::Tally digests_shipped{"ae.digests_shipped"};  ///< leaf + root digests
+  obs::Tally peers_skipped{"ae.peer_skips"};   ///< rejected by peer_usable
+  obs::Tally peers_yielded{"ae.load_yields"};  ///< skipped: peer loaded
 };
 
 /// Runs anti-entropy among a fixed membership of replicas. Each replica's
@@ -95,10 +96,10 @@ class AntiEntropy {
   void RegisterHandlers(size_t index);
   void GossipRound(size_t index);
   void GossipTick(size_t index);
-  /// An ae.* counter of the owning simulator's global registry, looked up
-  /// on first use and cached in `*slot` (so the registry gains exactly the
-  /// instruments a run touches, as with per-call lookups).
-  obs::Counter& Ctr(obs::Counter** slot, const char* name);
+  /// Global registry of the owning simulator (ae.* instruments).
+  obs::MetricsRegistry& Obs() {
+    return network_->simulator()->metrics().global();
+  }
 
   sim::Network* network_;
   // Pre-interned RPC methods / message types (resolved in the ctor).
@@ -113,14 +114,6 @@ class AntiEntropy {
   AntiEntropyOptions options_;
   AntiEntropyStats stats_;
   Rng rng_;
-  // Cached ae.* counter handles (see Ctr); null until first use.
-  obs::Counter* c_rounds_ = nullptr;
-  obs::Counter* c_syncs_skipped_ = nullptr;
-  obs::Counter* c_buckets_exchanged_ = nullptr;
-  obs::Counter* c_keys_shipped_ = nullptr;
-  obs::Counter* c_digests_shipped_ = nullptr;
-  obs::Counter* c_peer_skips_ = nullptr;
-  obs::Counter* c_load_yields_ = nullptr;
 };
 
 }  // namespace evc::repl

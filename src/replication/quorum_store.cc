@@ -87,7 +87,22 @@ DynamoCluster::Server* DynamoCluster::CreateServer(bool on_static_ring) {
   server->c_coordinated_puts = &node_obs.CounterFor("dyn.coordinated_puts");
   RegisterHandlers(server.get());
   by_node_[server->node] = server.get();
-  ResolveInstruments();
+  if (servers_.empty()) {
+    // The first server binds the dyn.* instruments, so a cluster that
+    // never sees the event still exports its counter at 0.
+    obs::MetricsRegistry& reg = Obs();
+    for (obs::Tally* t :
+         {&stats_.puts_ok, &stats_.puts_unavailable, &stats_.gets_ok,
+          &stats_.gets_unavailable, &stats_.read_repairs,
+          &stats_.hints_stored, &stats_.hints_delivered, &stats_.hints_lost,
+          &stats_.sloppy_diversions, &stats_.stale_epoch_rejects,
+          &stats_.view_refreshes, &stats_.hints_redirected,
+          &stats_.keys_migrated}) {
+      t->Inc(reg, 0);
+    }
+    h_put_latency_us_ = &reg.HistogramFor("dyn.put_latency_us");
+    h_get_latency_us_ = &reg.HistogramFor("dyn.get_latency_us");
+  }
   if (config_.crash_amnesia) {
     crash_registrar_.Register(rpc_->simulator(), server->node, this);
   }
@@ -118,25 +133,6 @@ obs::MetricsRegistry& DynamoCluster::Obs() {
   return rpc_->simulator()->metrics().global();
 }
 
-void DynamoCluster::ResolveInstruments() {
-  if (c_puts_ok_ != nullptr) return;
-  obs::MetricsRegistry& obs = Obs();
-  c_sloppy_diversions_ = &obs.CounterFor("dyn.sloppy_diversions");
-  c_hints_stored_ = &obs.CounterFor("dyn.hints_stored");
-  c_hints_delivered_ = &obs.CounterFor("dyn.hints_delivered");
-  c_hints_lost_ = &obs.CounterFor("dyn.hints_lost");
-  c_puts_unavailable_ = &obs.CounterFor("dyn.puts_unavailable");
-  c_gets_ok_ = &obs.CounterFor("dyn.gets_ok");
-  c_gets_unavailable_ = &obs.CounterFor("dyn.gets_unavailable");
-  c_read_repairs_ = &obs.CounterFor("dyn.read_repairs");
-  c_stale_epoch_rejects_ = &obs.CounterFor("dyn.stale_epoch_rejects");
-  c_view_refreshes_ = &obs.CounterFor("dyn.view_refreshes");
-  c_hints_redirected_ = &obs.CounterFor("dyn.hints_redirected");
-  c_keys_migrated_ = &obs.CounterFor("dyn.keys_migrated");
-  h_put_latency_us_ = &obs.HistogramFor("dyn.put_latency_us");
-  h_get_latency_us_ = &obs.HistogramFor("dyn.get_latency_us");
-  c_puts_ok_ = &obs.CounterFor("dyn.puts_ok");  // sentinel: assign last
-}
 
 ReplicaStorage* DynamoCluster::storage(sim::NodeId server) {
   Server* s = FindServer(server);
@@ -310,8 +306,7 @@ void DynamoCluster::WriteTargets(Server* coordinator, const std::string& key,
       targets->push_back(candidate);
       intended->push_back(preferred[preferred_idx]);
       ++preferred_idx;
-      ++stats_.sloppy_diversions;
-      c_sloppy_diversions_->Inc();
+      stats_.sloppy_diversions.Inc(Obs());
     }
   }
 }
@@ -330,8 +325,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
           // (A coordinator AHEAD of the request epoch serves fine — its
           // placement is fresher than the client's routing snapshot.)
           if (put.epoch > server->epoch) {
-            ++stats_.stale_epoch_rejects;
-            c_stale_epoch_rejects_->Inc();
+            stats_.stale_epoch_rejects.Inc(Obs());
             RefreshView(server);
             respond(Status::FailedPrecondition("coordinator view is stale"));
             return;
@@ -357,8 +351,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
         auto get = std::move(req).Take<ClientGetReq>();
         if (elastic()) {
           if (get.epoch > server->epoch) {
-            ++stats_.stale_epoch_rejects;
-            c_stale_epoch_rejects_->Inc();
+            stats_.stale_epoch_rejects.Inc(Obs());
             RefreshView(server);
             respond(Status::FailedPrecondition("coordinator view is stale"));
             return;
@@ -389,8 +382,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
           // sender is stale (its retry re-places under the new view) or we
           // are (refresh below); accepting would let two epochs' quorums
           // miss each other.
-          ++stats_.stale_epoch_rejects;
-          c_stale_epoch_rejects_->Inc();
+          stats_.stale_epoch_rejects.Inc(Obs());
           if (store.epoch > server->epoch) RefreshView(server);
           respond(Status::FailedPrecondition("epoch mismatch"));
           return;
@@ -403,8 +395,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
           // ledger, since delivery is per (intended, key) entry.
           auto& slot = server->hints[store.intended][store.key];
           if (slot.empty()) {
-            ++stats_.hints_stored;
-            c_hints_stored_->Inc();
+            stats_.hints_stored.Inc(Obs());
             slot = store.versions;
           } else {
             slot = MergeSiblingSets({slot, store.versions});
@@ -424,8 +415,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
           // A stale replica must not contribute to a fresh read quorum (it
           // may have missed writes placed under the new epoch), and a fresh
           // replica must not serve a stale coordinator.
-          ++stats_.stale_epoch_rejects;
-          c_stale_epoch_rejects_->Inc();
+          stats_.stale_epoch_rejects.Inc(Obs());
           if (read.epoch > server->epoch) RefreshView(server);
           respond(Status::FailedPrecondition("epoch mismatch"));
           return;
@@ -577,8 +567,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
   state->extra_total = static_cast<int>(extra.size());
 
   if (state->total == 0) {
-    ++stats_.puts_unavailable;
-    c_puts_unavailable_->Inc();
+    stats_.puts_unavailable.Inc(Obs());
     done(Status::Unavailable("no reachable replicas"));
     return;
   }
@@ -588,16 +577,14 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
     if (state->acks >= state->required &&
         state->extra_done == state->extra_total) {
       state->done_fired = true;
-      ++stats_.puts_ok;
-      c_puts_ok_->Inc();
+      stats_.puts_ok.Inc(Obs());
       (*h_put_latency_us_)
           .Add(static_cast<double>(rpc_->simulator()->Now() - started));
       done(version);
     } else if (state->completed == state->total &&
                state->acks < state->required) {
       state->done_fired = true;
-      ++stats_.puts_unavailable;
-      c_puts_unavailable_->Inc();
+      stats_.puts_unavailable.Inc(Obs());
       done(Status::Unavailable("write quorum not met"));
     }
   };
@@ -649,8 +636,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
             // (TryReportCatchUp holds the report while this hint pends).
             auto& slot = coordinator->hints[target][key];
             if (slot.empty()) {
-              ++stats_.hints_stored;
-              c_hints_stored_->Inc();
+              stats_.hints_stored.Inc(Obs());
               slot = {version};
             } else {
               slot = MergeSiblingSets({slot, {version}});
@@ -712,13 +698,11 @@ void DynamoCluster::CoordinateGet(
         repair.cross_epoch = true;
         rpc_->Call(coordinator->node, node, m_store_, std::move(repair),
                    config_.rpc_timeout, [](Result<sim::Payload>) {});
-        ++stats_.read_repairs;
-        c_read_repairs_->Inc();
+        stats_.read_repairs.Inc(Obs());
         result.repaired = true;
       }
     }
-    ++stats_.gets_ok;
-    c_gets_ok_->Inc();
+    stats_.gets_ok.Inc(Obs());
     (*h_get_latency_us_)
         .Add(static_cast<double>(rpc_->simulator()->Now() - started));
     done(std::move(result));
@@ -738,8 +722,7 @@ void DynamoCluster::CoordinateGet(
       finish();
     } else if (state->completed == state->total) {
       state->done_fired = true;
-      ++stats_.gets_unavailable;
-      c_gets_unavailable_->Inc();
+      stats_.gets_unavailable.Inc(Obs());
       done(Status::Unavailable("read quorum not met"));
     }
   };
@@ -789,7 +772,7 @@ void DynamoCluster::DeliverHints(Server* server) {
     // adding them to an overloaded node's queue only deepens the overload.
     if (rpc_->PeerLoad(server->node, intended) >=
         config_.background_yield_load) {
-      ++stats_.hints_deferred;
+      stats_.hints_deferred.Inc(Obs());
       ++it;
       continue;
     }
@@ -809,15 +792,13 @@ void DynamoCluster::DeliverHints(Server* server) {
       server->resilient->Call(intended, m_hint_, std::move(store), leg,
                               [this](Result<sim::Payload> r) {
                    if (r.ok()) {
-                     ++stats_.hints_delivered;
-                     c_hints_delivered_->Inc();
+                     stats_.hints_delivered.Inc(Obs());
                    } else {
                      // The hint was already dropped from the buffer
                      // (optimistic erase below); account the loss so the
                      // handoff ledger still balances. Anti-entropy repairs
                      // the data itself.
-                     ++stats_.hints_lost;
-                     c_hints_lost_->Inc();
+                     stats_.hints_lost.Inc(Obs());
                    }
                  });
     }
@@ -843,8 +824,7 @@ void DynamoCluster::OnCrash(uint32_t node) {
       for (const Version& v : versions) dropped += v.value.size();
     }
   }
-  stats_.hints_lost += lost_hints;
-  c_hints_lost_->Inc(lost_hints);
+  stats_.hints_lost.Inc(Obs(), lost_hints);
   server->hints.clear();
   // Non-durable storage has no WAL to replay: the whole store evaporates.
   if (!config_.storage.durable) {
@@ -999,8 +979,7 @@ void DynamoCluster::RefreshView(Server* server) {
       server->node, [this, server](Result<membership::ViewState> r) {
         server->refresh_inflight = false;
         if (!r.ok()) return;  // the periodic tick retries
-        ++stats_.view_refreshes;
-        c_view_refreshes_->Inc();
+        stats_.view_refreshes.Inc(Obs());
         std::optional<membership::MembershipView> prepared;
         if (r->has_prepared) prepared = std::move(r->prepared);
         ApplyView(server, r->committed, prepared);
@@ -1036,7 +1015,7 @@ void DynamoCluster::StartCatchUp(Server* server) {
       });
   task->streaming_done = task->outgoing.empty();
   server->migration = std::move(task);
-  ++stats_.migrations_started;
+  stats_.migrations_started.Inc(Obs());
   if (server->migration->streaming_done) {
     TryReportCatchUp(server);
   } else {
@@ -1060,7 +1039,7 @@ void DynamoCluster::StreamNextChunk(Server* server) {
   // instead of deepening its queue. Catch-up latency is the price of not
   // amplifying an overload.
   if (rpc_->PeerLoad(server->node, target) >= config_.background_yield_load) {
-    ++stats_.migrate_deferred;
+    stats_.migrate_deferred.Inc(Obs());
     const uint64_t deferred_epoch = task->epoch;
     rpc_->simulator()->ScheduleAfter(
         kMigrateRetryPause, [this, server, deferred_epoch] {
@@ -1095,8 +1074,7 @@ void DynamoCluster::StreamNextChunk(Server* server) {
         if (t == nullptr || t->epoch != epoch) return;  // superseded
         t->chunk_inflight = false;
         if (r.ok()) {
-          stats_.keys_migrated += pending->size();
-          c_keys_migrated_->Inc(pending->size());
+          stats_.keys_migrated.Inc(Obs(), pending->size());
           StreamNextChunk(server);
           return;
         }
@@ -1134,7 +1112,7 @@ void DynamoCluster::TryReportCatchUp(Server* server) {
         t->report_inflight = false;
         if (s.ok()) {
           t->reported = true;
-          ++stats_.migrations_completed;
+          stats_.migrations_completed.Inc(Obs());
           return;
         }
         rpc_->simulator()->ScheduleAfter(
@@ -1163,16 +1141,14 @@ void DynamoCluster::RedirectHints(Server* server) {
     leg.respect_breaker = false;
     leg.respect_limits = false;  // see CoordinatePut
     for (const auto& [key, versions] : it->second) {
-      ++stats_.hints_redirected;
-      c_hints_redirected_->Inc();
+      stats_.hints_redirected.Inc(Obs());
       const std::vector<sim::NodeId> pref =
           PreferenceListAt(server->epoch, key);
       const sim::NodeId target = pref.empty() ? server->node : pref.front();
       if (target == server->node) {
         // We are the new primary: the handoff is a local merge.
         server->storage->MergeRemote(key, versions);
-        ++stats_.hints_delivered;
-        c_hints_delivered_->Inc();
+        stats_.hints_delivered.Inc(Obs());
         continue;
       }
       StoreReq store;
@@ -1183,14 +1159,12 @@ void DynamoCluster::RedirectHints(Server* server) {
       server->resilient->Call(target, m_store_, std::move(store), leg,
                               [this](Result<sim::Payload> r) {
                                 if (r.ok()) {
-                                  ++stats_.hints_delivered;
-                                  c_hints_delivered_->Inc();
+                                  stats_.hints_delivered.Inc(Obs());
                                 } else {
                                   // Optimistic send, same ledger discipline
                                   // as DeliverHints: the entry is already
                                   // erased, so account the loss now.
-                                  ++stats_.hints_lost;
-                                  c_hints_lost_->Inc();
+                                  stats_.hints_lost.Inc(Obs());
                                 }
                               });
     }

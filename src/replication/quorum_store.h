@@ -26,6 +26,7 @@
 #include "clock/lamport.h"
 #include "common/interner.h"
 #include "membership/config_service.h"
+#include "obs/metrics.h"
 #include "replication/hash_ring.h"
 #include "resilience/admission.h"
 #include "resilience/resilient_rpc.h"
@@ -101,29 +102,30 @@ using GetCallback = std::function<void(Result<ReadResult>)>;
 
 /// Operation statistics (monotonic counters for experiments).
 struct DynamoStats {
-  uint64_t puts_ok = 0;
-  uint64_t puts_unavailable = 0;
-  uint64_t gets_ok = 0;
-  uint64_t gets_unavailable = 0;
-  uint64_t read_repairs = 0;
-  uint64_t hints_stored = 0;
-  uint64_t hints_delivered = 0;
+  obs::Tally puts_ok{"dyn.puts_ok"};
+  obs::Tally puts_unavailable{"dyn.puts_unavailable"};
+  obs::Tally gets_ok{"dyn.gets_ok"};
+  obs::Tally gets_unavailable{"dyn.gets_unavailable"};
+  obs::Tally read_repairs{"dyn.read_repairs"};
+  obs::Tally hints_stored{"dyn.hints_stored"};
+  obs::Tally hints_delivered{"dyn.hints_delivered"};
   /// Hints dropped without delivery: handoff RPC failed, or the holder
   /// crashed with hints buffered. Every stored hint is eventually delivered,
   /// lost, or still pending: hints_stored = hints_delivered + hints_lost +
   /// pending_hints() once no handoff RPC is in flight.
-  uint64_t hints_lost = 0;
-  uint64_t sloppy_diversions = 0;
+  obs::Tally hints_lost{"dyn.hints_lost"};
+  obs::Tally sloppy_diversions{"dyn.sloppy_diversions"};
   // Elastic membership (all zero for static clusters).
-  uint64_t stale_epoch_rejects = 0;  ///< data-plane RPCs fenced by epoch
-  uint64_t view_refreshes = 0;       ///< successful config pulls
-  uint64_t hints_redirected = 0;     ///< hints re-aimed off departed nodes
-  uint64_t keys_migrated = 0;        ///< keys streamed to new owners
-  uint64_t migrations_started = 0;   ///< per-server catch-up tasks begun
-  uint64_t migrations_completed = 0; ///< catch-up tasks acked by the config
+  /// Data-plane RPCs fenced by epoch.
+  obs::Tally stale_epoch_rejects{"dyn.stale_epoch_rejects"};
+  obs::Tally view_refreshes{"dyn.view_refreshes"};  ///< successful config pulls
+  obs::Tally hints_redirected{"dyn.hints_redirected"};  ///< off departed nodes
+  obs::Tally keys_migrated{"dyn.keys_migrated"};  ///< streamed to new owners
+  obs::Tally migrations_started;    ///< per-server catch-up tasks begun
+  obs::Tally migrations_completed;  ///< catch-up tasks acked by the config
   // Backpressure (all zero unless a destination reports load).
-  uint64_t hints_deferred = 0;       ///< hint batches held: destination busy
-  uint64_t migrate_deferred = 0;     ///< migration chunks held: dest busy
+  obs::Tally hints_deferred;    ///< hint batches held: destination busy
+  obs::Tally migrate_deferred;  ///< migration chunks held: dest busy
 };
 
 /// A cluster of Dynamo-style storage servers sharing one Rpc/network.
@@ -390,22 +392,7 @@ class DynamoCluster : private sim::CrashParticipant {
   void OnRestart(uint32_t node) override;
 
   sim::Rpc* rpc_;
-  // Cached dyn.* instruments, resolved on first use (the registry lives on
-  // the simulator; the seed re-looked each one up by string per operation).
-  void ResolveInstruments();
-  obs::Counter* c_sloppy_diversions_ = nullptr;
-  obs::Counter* c_hints_stored_ = nullptr;
-  obs::Counter* c_hints_delivered_ = nullptr;
-  obs::Counter* c_hints_lost_ = nullptr;
-  obs::Counter* c_puts_ok_ = nullptr;
-  obs::Counter* c_puts_unavailable_ = nullptr;
-  obs::Counter* c_gets_ok_ = nullptr;
-  obs::Counter* c_gets_unavailable_ = nullptr;
-  obs::Counter* c_read_repairs_ = nullptr;
-  obs::Counter* c_stale_epoch_rejects_ = nullptr;
-  obs::Counter* c_view_refreshes_ = nullptr;
-  obs::Counter* c_hints_redirected_ = nullptr;
-  obs::Counter* c_keys_migrated_ = nullptr;
+  // dyn.* latency histograms, bound with the counters by the first server.
   Histogram* h_put_latency_us_ = nullptr;
   Histogram* h_get_latency_us_ = nullptr;
   // Key placement cache: keys intern to dense ids and each key's full ring

@@ -185,8 +185,7 @@ void TimelineCluster::ApplyMasterWrite(Server* server, const std::string& key,
   rec.value = std::move(value);
   ++rec.seqno;
   JournalApply(server, key, rec.value, rec.seqno);
-  ++stats_.writes_ok;
-  Obs().CounterFor("tl.writes_ok").Inc();
+  stats_.writes_ok.Inc(Obs());
   // Asynchronous in-order propagation to the other replicas. The
   // network may reorder; replicas apply only monotonically.
   for (const sim::NodeId replica : ReplicasOf(key)) {
@@ -220,8 +219,7 @@ void TimelineCluster::HandleRead(Server* server, const ReadReq& req,
       result.value = it->second.value;
       result.seqno = it->second.seqno;
     }
-    ++stats_.reads_local;
-    Obs().CounterFor("tl.reads_local").Inc();
+    stats_.reads_local.Inc(Obs());
     // Staleness accounting: compare against the master's current seqno (an
     // omniscient-observer metric, not visible to the protocol itself). A
     // kAtLeast read satisfied locally (seqno >= min_seqno) can still lag
@@ -232,8 +230,7 @@ void TimelineCluster::HandleRead(Server* server, const ReadReq& req,
       Server* m = FindServer(master);
       auto mit = m->data.find(req.key);
       if (mit != m->data.end() && mit->second.seqno > local_seqno) {
-        ++stats_.stale_reads_served;
-        Obs().CounterFor("tl.stale_reads_served").Inc();
+        stats_.stale_reads_served.Inc(Obs());
       }
     }
     // kAtLeast on the master with min_seqno beyond the master's own seqno:
@@ -241,8 +238,7 @@ void TimelineCluster::HandleRead(Server* server, const ReadReq& req,
     if (level == TimelineReadLevel::kAtLeast && server->node == master &&
         local_seqno < req.min_seqno) {
       result.min_seqno_unmet = true;
-      ++stats_.atleast_unmet;
-      Obs().CounterFor("tl.atleast_unmet").Inc();
+      stats_.atleast_unmet.Inc(Obs());
     }
     respond(result);
     return;
@@ -252,8 +248,7 @@ void TimelineCluster::HandleRead(Server* server, const ReadReq& req,
   // evaluates (and if need be flags) the kAtLeast floor itself. The seed
   // downgraded forwards to kAny, which erased min_seqno before the master
   // could notice it was unmet.
-  ++stats_.reads_forwarded;
-  Obs().CounterFor("tl.reads_forwarded").Inc();
+  stats_.reads_forwarded.Inc(Obs());
   ReadReq fwd = req;
   rpc_->Call(server->node, master, m_read_, std::move(fwd),
              options_.rpc_timeout, [respond](Result<sim::Payload> r) {
@@ -278,8 +273,7 @@ void TimelineCluster::WriteAttempt(sim::NodeId client, const std::string& key,
     // Mastership handoff in progress: back off and retry (PNUTS routers do
     // the same while a record's master is moving).
     if (attempts_left <= 0) {
-      ++stats_.writes_unavailable;
-      Obs().CounterFor("tl.writes_unavailable").Inc();
+      stats_.writes_unavailable.Inc(Obs());
       done(Status::Unavailable("mastership migration in progress"));
       return;
     }
@@ -309,8 +303,7 @@ void TimelineCluster::WriteAttempt(sim::NodeId client, const std::string& key,
                               attempts_left - 1, std::move(done));
                  return;
                }
-               ++stats_.writes_unavailable;
-               Obs().CounterFor("tl.writes_unavailable").Inc();
+               stats_.writes_unavailable.Inc(Obs());
                done(r.status());
              });
 }
@@ -333,7 +326,7 @@ void TimelineCluster::MigrateMaster(const std::string& key,
     migrating_.erase(key);
     if (status.ok()) {
       master_override_[key] = new_master;
-      Obs().CounterFor("tl.migrations_ok").Inc();
+      migrations_ok_.Inc(Obs());
       // Repoint first, then notify: the hook may consult MasterOf(key).
       if (master_move_hook_) master_move_hook_(key, old_master, new_master);
     }

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/rpc.h"
 #include "storage/wal.h"
 
@@ -59,16 +60,17 @@ enum class TimelineReadLevel {
 };
 
 struct TimelineStats {
-  uint64_t writes_ok = 0;
-  uint64_t writes_unavailable = 0;
-  uint64_t reads_local = 0;
-  uint64_t reads_forwarded = 0;
+  obs::Tally writes_ok{"tl.writes_ok"};
+  obs::Tally writes_unavailable{"tl.writes_unavailable"};
+  obs::Tally reads_local{"tl.reads_local"};
+  obs::Tally reads_forwarded{"tl.reads_forwarded"};
   /// Locally served reads (kAny, or kAtLeast satisfied by a non-master
   /// replica) older than the master's seqno at serve time. An omniscient-
   /// observer metric: a kAtLeast read at seqno >= min_seqno can still be
   /// behind the master, and the staleness benches must see it.
-  uint64_t stale_reads_served = 0;
-  uint64_t atleast_unmet = 0;  ///< kAtLeast served by a master below min_seqno
+  obs::Tally stale_reads_served{"tl.stale_reads_served"};
+  /// kAtLeast served by a master below min_seqno.
+  obs::Tally atleast_unmet{"tl.atleast_unmet"};
 };
 
 /// Cluster of timeline-consistent replicas.
@@ -223,6 +225,7 @@ class TimelineCluster : private sim::CrashParticipant {
   WriteGate write_gate_;
   MasterMoveHook master_move_hook_;
   TimelineStats stats_;
+  obs::Tally migrations_ok_{"tl.migrations_ok"};  ///< completed master moves
   sim::CrashRegistrar crash_registrar_;
 };
 

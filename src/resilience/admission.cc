@@ -48,14 +48,14 @@ AdmissionQueue::AdmissionQueue(sim::Rpc* rpc, sim::NodeId node,
   EVC_CHECK(rpc_ != nullptr);
   EVC_CHECK(options_.max_concurrent >= 1);
   EVC_CHECK(options_.service_time >= 1);
-  obs::MetricsRegistry& reg = rpc_->simulator()->metrics().node(node_);
-  c_admitted_ = &reg.CounterFor("admission.admitted");
-  c_rejected_full_ = &reg.CounterFor("admission.rejected_queue_full");
-  c_shed_sojourn_ = &reg.CounterFor("admission.shed_sojourn");
-  c_shed_foreground_ = &reg.CounterFor("admission.shed_foreground");
-  c_shed_background_ = &reg.CounterFor("admission.shed_background");
-  g_queue_depth_ = &reg.GaugeFor("admission.queue_depth");
-  h_sojourn_us_ = &reg.HistogramFor("admission.sojourn_us");
+  obs_ = &rpc_->simulator()->metrics().node(node_);
+  for (obs::Tally* t : {&stats_.admitted, &stats_.rejected_queue_full,
+                        &stats_.shed_sojourn, &stats_.shed_foreground,
+                        &stats_.shed_background}) {
+    t->Inc(*obs_, 0);
+  }
+  g_queue_depth_ = &obs_->GaugeFor("admission.queue_depth");
+  h_sojourn_us_ = &obs_->HistogramFor("admission.sojourn_us");
   crash_hook_.owner = this;
   rpc_->simulator()->RegisterCrashParticipant(node_, &crash_hook_);
   rpc_->SetRequestGate(node_, this);
@@ -87,8 +87,7 @@ void AdmissionQueue::Admit(sim::MethodId method,
   // answering pings looks dead, trips breakers, and converts overload into
   // (apparent) failure — the amplification this subsystem exists to stop.
   if (priority == AdmissionPriority::kControl) {
-    ++stats_.admitted;
-    c_admitted_->Inc();
+    stats_.admitted.Inc(*obs_);
     dispatch();
     return;
   }
@@ -101,8 +100,7 @@ void AdmissionQueue::Admit(sim::MethodId method,
                            ? options_.background_queue_limit
                            : options_.foreground_queue_limit;
   if (queue.size() >= limit) {
-    ++stats_.rejected_queue_full;
-    c_rejected_full_->Inc();
+    stats_.rejected_queue_full.Inc(*obs_);
     Reject(request, /*at_enqueue=*/true);
     return;
   }
@@ -112,19 +110,16 @@ void AdmissionQueue::Admit(sim::MethodId method,
 
 void AdmissionQueue::Reject(const QueuedRequest& request, bool /*at_enqueue*/) {
   if (request.priority == AdmissionPriority::kBackground) {
-    ++stats_.shed_background;
-    c_shed_background_->Inc();
+    stats_.shed_background.Inc(*obs_);
   } else {
-    ++stats_.shed_foreground;
-    c_shed_foreground_->Inc();
+    stats_.shed_foreground.Inc(*obs_);
   }
   request.respond(ResourceExhaustedWithRetryAfter(options_.retry_after));
 }
 
 void AdmissionQueue::RunOne(QueuedRequest request) {
   ++active_;
-  ++stats_.admitted;
-  c_admitted_->Inc();
+  stats_.admitted.Inc(*obs_);
   request.dispatch();
   const uint64_t epoch = epoch_;
   rpc_->simulator()->ScheduleAfter(options_.service_time, [this, epoch] {
@@ -153,8 +148,7 @@ void AdmissionQueue::PumpQueues() {
       // CoDel-style drop: by the time this request reached the front it
       // had already waited past the delay bound; its caller has likely
       // timed out or retried, so serving it now is pure wasted capacity.
-      ++stats_.shed_sojourn;
-      c_shed_sojourn_->Inc();
+      stats_.shed_sojourn.Inc(*obs_);
       Reject(request, /*at_enqueue=*/false);
       continue;
     }

@@ -66,11 +66,13 @@ struct AdmissionOptions {
 };
 
 struct AdmissionStats {
-  uint64_t admitted = 0;            ///< dispatched to a handler
-  uint64_t rejected_queue_full = 0; ///< shed at enqueue (bounded queue)
-  uint64_t shed_sojourn = 0;        ///< shed at dequeue (sojourn > target)
-  uint64_t shed_foreground = 0;     ///< all sheds, by class
-  uint64_t shed_background = 0;
+  obs::Tally admitted{"admission.admitted"};  ///< dispatched to a handler
+  /// Shed at enqueue (bounded queue).
+  obs::Tally rejected_queue_full{"admission.rejected_queue_full"};
+  obs::Tally shed_sojourn{"admission.shed_sojourn"};  ///< sojourn > target
+  /// All sheds, by class.
+  obs::Tally shed_foreground{"admission.shed_foreground"};
+  obs::Tally shed_background{"admission.shed_background"};
   uint64_t total_shed() const { return rejected_queue_full + shed_sojourn; }
 };
 
@@ -137,12 +139,9 @@ class AdmissionQueue : public sim::RequestGate {
   AdmissionStats stats_;
   CrashHook crash_hook_;
 
-  // Cached per-node instruments.
-  obs::Counter* c_admitted_ = nullptr;
-  obs::Counter* c_rejected_full_ = nullptr;
-  obs::Counter* c_shed_sojourn_ = nullptr;
-  obs::Counter* c_shed_foreground_ = nullptr;
-  obs::Counter* c_shed_background_ = nullptr;
+  // The node's registry: the stats_ Tallies and the instruments below
+  // count into it.
+  obs::MetricsRegistry* obs_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;
   Histogram* h_sojourn_us_ = nullptr;
 };

@@ -100,8 +100,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
   }
   if (state->opts.respect_breaker && options_.breaker_enabled &&
       !breaker_.AllowRequest(state->to, now)) {
-    ++stats_.breaker_rejects;
-    Obs().CounterFor("resilience.breaker_rejects").Inc();
+    stats_.breaker_rejects.Inc(Obs());
     state->last_error = Status::Unavailable("circuit breaker open");
     RetryOrFail(state, attempt);
     return;
@@ -112,16 +111,14 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
       // Over the adaptive limit: fail fast into the retry path, which backs
       // off and re-checks. Pushing the attempt through anyway is exactly
       // the unbounded concurrency that sustains a metastable collapse.
-      ++stats_.limit_rejects;
-      Obs().CounterFor("resilience.limit_rejects").Inc();
+      stats_.limit_rejects.Inc(Obs());
       state->last_error = Status::Unavailable("adaptive concurrency limit");
       RetryOrFail(state, attempt);
       return;
     }
   }
 
-  ++stats_.attempts;
-  Obs().CounterFor("resilience.attempts").Inc();
+  stats_.attempts.Inc(Obs());
   state->legs_inflight = 0;
   state->hedge_issued = false;
   state->hedge_timer_armed = false;
@@ -152,8 +149,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
             if (state->opts.respect_breaker && options_.breaker_enabled &&
                 breaker_.StateOf(hedge_to, rpc_->simulator()->Now()) ==
                     CircuitBreaker::State::kOpen) {
-              ++stats_.hedges_suppressed_breaker;
-              Obs().CounterFor("resilience.hedges_suppressed_breaker").Inc();
+              stats_.hedges_suppressed_breaker.Inc(Obs());
               return;
             }
             // ... and it costs retry-budget tokens exactly like a retry:
@@ -163,16 +159,13 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
                 options_.retry_budget.enabled) {
               DestState& dest = DestFor(hedge_to);
               if (dest.budget_tokens < options_.retry_budget.retry_cost) {
-                ++stats_.hedges_suppressed_budget;
-                Obs().CounterFor("resilience.hedges_suppressed_budget")
-                    .Inc();
+                stats_.hedges_suppressed_budget.Inc(Obs());
                 return;
               }
               dest.budget_tokens -= options_.retry_budget.retry_cost;
             }
             state->hedge_issued = true;
-            ++stats_.hedges_issued;
-            Obs().CounterFor("resilience.hedges_issued").Inc();
+            stats_.hedges_issued.Inc(Obs());
             IssueLeg(state, attempt, hedge_to, /*is_hedge=*/true,
                      hedge_timeout);
           });
@@ -234,8 +227,7 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
                  dest_state.aimd_limit * options_.aimd.backoff_ratio);
   }
   if (!r.ok() && r.status().IsResourceExhausted()) {
-    ++stats_.resource_exhausted_replies;
-    Obs().CounterFor("resilience.resource_exhausted_replies").Inc();
+    stats_.resource_exhausted_replies.Inc(Obs());
   }
 
   // Retryable = the attempt may be re-issued: timeouts (no verdict) and
@@ -251,11 +243,9 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
   if (definitive) {
     if (state->hedge_issued) {
       if (is_hedge) {
-        ++stats_.hedges_won;
-        Obs().CounterFor("resilience.hedges_won").Inc();
+        stats_.hedges_won.Inc(Obs());
       } else {
-        ++stats_.hedges_lost;
-        Obs().CounterFor("resilience.hedges_lost").Inc();
+        stats_.hedges_lost.Inc(Obs());
       }
     }
     if (state->hedge_timer_armed) {
@@ -294,8 +284,7 @@ void ResilientRpc::RetryOrFail(const std::shared_ptr<CallState>& state,
   if (state->opts.respect_limits && options_.retry_budget.enabled) {
     DestState& dest = DestFor(state->to);
     if (dest.budget_tokens < options_.retry_budget.retry_cost) {
-      ++stats_.budget_exhausted;
-      Obs().CounterFor("resilience.budget_exhausted").Inc();
+      stats_.budget_exhausted.Inc(Obs());
       Complete(state, state->last_error.ok()
                           ? Status::Unavailable("retry budget exhausted")
                           : state->last_error);
@@ -314,8 +303,7 @@ void ResilientRpc::RetryOrFail(const std::shared_ptr<CallState>& state,
     FailDeadline(state);
     return;
   }
-  ++stats_.retries;
-  Obs().CounterFor("resilience.retries").Inc();
+  stats_.retries.Inc(Obs());
   rpc_->simulator()->ScheduleAfter(
       backoff, [this, state, attempt] { Attempt(state, attempt + 1); });
 }
@@ -328,8 +316,7 @@ void ResilientRpc::Complete(const std::shared_ptr<CallState>& state,
 }
 
 void ResilientRpc::FailDeadline(const std::shared_ptr<CallState>& state) {
-  ++stats_.deadline_exceeded;
-  Obs().CounterFor("resilience.deadline_exceeded").Inc();
+  stats_.deadline_exceeded.Inc(Obs());
   Complete(state, Status::DeadlineExceeded("call budget exhausted"));
 }
 
@@ -380,15 +367,13 @@ void ResilientRpc::NoteSuspicionEdge(sim::NodeId peer) {
   const bool suspected = SuspectedNow(peer, now);
   bool& prev = suspected_[peer];
   if (suspected && !prev) {
-    ++stats_.suspect_transitions;
-    Obs().CounterFor("resilience.detector.suspects").Inc();
+    stats_.suspect_transitions.Inc(Obs());
     // Honesty accounting: if the omniscient oracle says the peer was
     // reachable at the moment suspicion was raised, this was a false alarm.
     // (Gray failures are deliberately NOT false positives: the oracle still
     // reports a flaky link as reachable, but suspecting it is the point.)
     if (rpc_->network()->CanCommunicate(self_, peer)) {
-      ++stats_.false_positives;
-      Obs().CounterFor("resilience.detector.false_positives").Inc();
+      stats_.false_positives.Inc(Obs());
     }
   }
   prev = suspected;
@@ -426,8 +411,7 @@ void ResilientRpc::HeartbeatTick(sim::NodeId peer) {
                      [this, peer] { HeartbeatTick(peer); });
   // A crashed process runs no detector; probing resumes after restart.
   if (!rpc_->network()->IsNodeUp(self_)) return;
-  ++stats_.heartbeats_sent;
-  Obs().CounterFor("resilience.heartbeats_sent").Inc();
+  stats_.heartbeats_sent.Inc(Obs());
   // Probes bypass the breaker on purpose: a healed peer's successful probe
   // is what closes its breaker again.
   rpc_->Call(self_, peer, ping_method_, PingReq{},

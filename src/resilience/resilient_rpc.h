@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "obs/metrics.h"
 #include "resilience/breaker.h"
 #include "resilience/detector.h"
 #include "resilience/retry.h"
@@ -126,21 +127,27 @@ struct CallOptions {
 };
 
 struct ResilienceStats {
-  uint64_t attempts = 0;
-  uint64_t retries = 0;
-  uint64_t hedges_issued = 0;
-  uint64_t hedges_won = 0;   ///< hedge leg answered first
-  uint64_t hedges_lost = 0;  ///< primary answered first, hedge wasted
-  uint64_t breaker_rejects = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t suspect_transitions = 0;
-  uint64_t false_positives = 0;  ///< suspected while oracle said reachable
-  uint64_t heartbeats_sent = 0;
-  uint64_t budget_exhausted = 0;  ///< retries failed fast: no budget tokens
-  uint64_t limit_rejects = 0;     ///< attempts over the AIMD limit
-  uint64_t hedges_suppressed_breaker = 0;  ///< hedge skipped: breaker open
-  uint64_t hedges_suppressed_budget = 0;   ///< hedge skipped: no tokens
-  uint64_t resource_exhausted_replies = 0; ///< kResourceExhausted rejections
+  obs::Tally attempts{"resilience.attempts"};
+  obs::Tally retries{"resilience.retries"};
+  obs::Tally hedges_issued{"resilience.hedges_issued"};
+  obs::Tally hedges_won{"resilience.hedges_won"};    ///< hedge answered first
+  obs::Tally hedges_lost{"resilience.hedges_lost"};  ///< hedge wasted
+  obs::Tally breaker_rejects{"resilience.breaker_rejects"};
+  obs::Tally deadline_exceeded{"resilience.deadline_exceeded"};
+  obs::Tally suspect_transitions{"resilience.detector.suspects"};
+  /// Suspected while the oracle said reachable.
+  obs::Tally false_positives{"resilience.detector.false_positives"};
+  obs::Tally heartbeats_sent{"resilience.heartbeats_sent"};
+  /// Retries failed fast: no budget tokens.
+  obs::Tally budget_exhausted{"resilience.budget_exhausted"};
+  obs::Tally limit_rejects{"resilience.limit_rejects"};  ///< over AIMD limit
+  /// Hedge skipped: breaker open.
+  obs::Tally hedges_suppressed_breaker{"resilience.hedges_suppressed_breaker"};
+  /// Hedge skipped: no tokens.
+  obs::Tally hedges_suppressed_budget{"resilience.hedges_suppressed_budget"};
+  /// kResourceExhausted rejections.
+  obs::Tally resource_exhausted_replies{
+      "resilience.resource_exhausted_replies"};
 };
 
 class ResilientRpc {

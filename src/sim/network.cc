@@ -10,15 +10,13 @@ Network::Network(Simulator* sim, std::unique_ptr<LatencyModel> latency)
       rng_(sim->rng().Fork(0x4e455457)) {
   EVC_CHECK(sim_ != nullptr);
   EVC_CHECK(latency_ != nullptr);
-  obs::MetricsRegistry& g = sim_->metrics().global();
-  metrics_.sent = &g.CounterFor("net.sent");
-  metrics_.delivered = &g.CounterFor("net.delivered");
-  metrics_.duplicated = &g.CounterFor("net.duplicated");
-  metrics_.drop_crashed = &g.CounterFor("net.drop.crashed");
-  metrics_.drop_partition = &g.CounterFor("net.drop.partition");
-  metrics_.drop_loss = &g.CounterFor("net.drop.loss");
-  metrics_.drop_flaky = &g.CounterFor("net.drop.flaky");
-  metrics_.drop_no_handler = &g.CounterFor("net.drop.no_handler");
+  obs::MetricsRegistry& g = Obs();
+  for (obs::Tally* t :
+       {&metrics_.sent, &metrics_.delivered, &metrics_.duplicated,
+        &metrics_.drop_crashed, &metrics_.drop_partition, &metrics_.drop_loss,
+        &metrics_.drop_flaky, &metrics_.drop_no_handler}) {
+    t->Inc(g, 0);
+  }
   metrics_.delivery_latency_us = &g.HistogramFor("net.delivery_latency_us");
 }
 
@@ -134,30 +132,25 @@ void Network::ClearGrayFaults() {
 }
 
 void Network::Send(NodeId from, NodeId to, MsgType type, Payload payload) {
-  ++messages_sent_;
   if (sent_by_type_.size() <= type) sent_by_type_.resize(type + 1, 0);
   ++sent_by_type_[type];
-  metrics_.sent->Inc();
+  metrics_.sent.Inc(Obs());
   if (from < node_sent_.size()) node_sent_[from]->Inc();
   if (!IsNodeUp(from) || !IsNodeUp(to)) {
-    ++messages_dropped_;
-    metrics_.drop_crashed->Inc();
+    metrics_.drop_crashed.Inc(Obs());
     return;
   }
   if (!CanCommunicate(from, to)) {
-    ++messages_dropped_;
-    metrics_.drop_partition->Inc();
+    metrics_.drop_partition.Inc(Obs());
     return;
   }
   if (loss_rate_ > 0 && rng_.NextBool(loss_rate_)) {
-    ++messages_dropped_;
-    metrics_.drop_loss->Inc();
+    metrics_.drop_loss.Inc(Obs());
     return;
   }
   if (const double flaky = LinkDropRate(from, to);
       flaky > 0 && rng_.NextBool(flaky)) {
-    ++messages_dropped_;
-    metrics_.drop_flaky->Inc();
+    metrics_.drop_flaky.Inc(Obs());
     return;
   }
   Message msg;
@@ -176,7 +169,7 @@ void Network::Send(NodeId from, NodeId to, MsgType type, Payload payload) {
   latency += NodeProcessingDelay(from) + NodeProcessingDelay(to);
   const bool duplicate = duplicate_rate_ > 0 && rng_.NextBool(duplicate_rate_);
   if (duplicate) {
-    metrics_.duplicated->Inc();
+    metrics_.duplicated.Inc(Obs());
     // A packet duplicated in flight carries the same bytes: deep-copy the
     // payload (the only payload copy left in the network).
     Message copy;
@@ -200,25 +193,21 @@ void Network::Deliver(Message msg) {
   // Re-check reachability at delivery time: a partition or crash that began
   // while the message was in flight also prevents delivery.
   if (!IsNodeUp(msg.to)) {
-    ++messages_dropped_;
-    metrics_.drop_crashed->Inc();
+    metrics_.drop_crashed.Inc(Obs());
     return;
   }
   if (!CanCommunicate(msg.from, msg.to)) {
-    ++messages_dropped_;
-    metrics_.drop_partition->Inc();
+    metrics_.drop_partition.Inc(Obs());
     return;
   }
   auto& node_handlers = handlers_[msg.to];
   if (msg.type >= node_handlers.size() || !node_handlers[msg.type]) {
     EVC_LOG_WARN("node %u has no handler for message type '%s'", msg.to,
                  std::string(TypeName(msg.type)).c_str());
-    ++messages_dropped_;
-    metrics_.drop_no_handler->Inc();
+    metrics_.drop_no_handler.Inc(Obs());
     return;
   }
-  ++messages_delivered_;
-  metrics_.delivered->Inc();
+  metrics_.delivered.Inc(Obs());
   if (msg.to < node_delivered_.size()) node_delivered_[msg.to]->Inc();
   metrics_.delivery_latency_us->Add(
       static_cast<double>(sim_->Now() - msg.sent_at));

@@ -26,6 +26,7 @@
 
 #include "common/interner.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "sim/latency.h"
 #include "sim/payload.h"
 #include "sim/simulator.h"
@@ -159,9 +160,12 @@ class Network {
 
   // --- introspection -------------------------------------------------------
 
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t messages_delivered() const { return messages_delivered_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
+  uint64_t messages_sent() const { return metrics_.sent; }
+  uint64_t messages_delivered() const { return metrics_.delivered; }
+  uint64_t messages_dropped() const {
+    return metrics_.drop_crashed + metrics_.drop_partition +
+           metrics_.drop_loss + metrics_.drop_flaky + metrics_.drop_no_handler;
+  }
   /// Messages sent of one interned type (payload-agnostic, for
   /// bandwidth-ish accounting in experiments). Index with an id from
   /// InternType; ids ≥ the table size have sent nothing.
@@ -179,16 +183,18 @@ class Network {
   uint32_t GroupOf(NodeId node) const;
   static uint64_t LinkKey(NodeId a, NodeId b);
 
-  // Cached global metrics instruments (stable references; see obs/metrics.h).
+  obs::MetricsRegistry& Obs() { return sim_->metrics().global(); }
+
+  // net.* instruments of the global registry, bound in the constructor.
   struct NetMetrics {
-    obs::Counter* sent = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* duplicated = nullptr;
-    obs::Counter* drop_crashed = nullptr;
-    obs::Counter* drop_partition = nullptr;
-    obs::Counter* drop_loss = nullptr;
-    obs::Counter* drop_flaky = nullptr;
-    obs::Counter* drop_no_handler = nullptr;
+    obs::Tally sent{"net.sent"};
+    obs::Tally delivered{"net.delivered"};
+    obs::Tally duplicated{"net.duplicated"};
+    obs::Tally drop_crashed{"net.drop.crashed"};
+    obs::Tally drop_partition{"net.drop.partition"};
+    obs::Tally drop_loss{"net.drop.loss"};
+    obs::Tally drop_flaky{"net.drop.flaky"};
+    obs::Tally drop_no_handler{"net.drop.no_handler"};
     Histogram* delivery_latency_us = nullptr;  // evc::Histogram (common/stats.h)
   };
 
@@ -206,9 +212,6 @@ class Network {
   std::unordered_map<uint64_t, double> link_latency_factor_;
   std::unordered_map<uint64_t, double> link_drop_rate_;
   std::unordered_map<NodeId, Time> node_delay_;
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_delivered_ = 0;
-  uint64_t messages_dropped_ = 0;
   KeyInterner type_interner_;
   std::vector<uint64_t> sent_by_type_;  // indexed by MsgType
   // handlers_[node][type]; inner vector indexed by MsgType, grown on

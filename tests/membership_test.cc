@@ -342,5 +342,49 @@ TEST_F(ElasticClusterTest, HintsRedirectToNewOwnerWhenIntendedNodeDeparts) {
   EXPECT_EQ(got->versions[0].value, "hinted-value");
 }
 
+// Migration streaming is background work: while the newcomer's admission
+// queue is full, an owner whose chunk came back rejected (carrying that
+// load) pauses its stream instead of re-sending, then finishes once the
+// load signal has aged out.
+TEST_F(ElasticClusterTest, MigrationPausesWhileNewcomerIsLoaded) {
+  repl::QuorumConfig cfg = StrictRingConfig();
+  cfg.admission_enabled = true;
+  cfg.admission.max_concurrent = 1;
+  cfg.admission.service_time = 20 * kMillisecond;
+  cfg.admission.foreground_queue_limit = 16;
+  cfg.admission.background_queue_limit = 1;
+  cfg.admission.sojourn_target = 0;  // queued work waits, never sheds
+  Build(cfg);
+  for (int i = 0; i < 120; ++i) {
+    cluster_->Put(client_, servers_[i % servers_.size()],
+                  "k" + std::to_string(i), "v", {}, [](Result<Version>) {});
+    sim_->RunFor(25 * kMillisecond);
+  }
+  sim_->RunFor(5 * kSecond);
+
+  auto added = cluster_->AddServerLive([](Status) {});
+  ASSERT_TRUE(added.ok());
+  const sim::NodeId newcomer = *added;
+  // Client ops aimed at the newcomer keep its foreground queue full for
+  // three seconds: owners' first chunks overflow its one-slot background
+  // queue and come back rejected with the load.
+  const sim::Time flood_end = sim_->Now() + 3 * kSecond;
+  std::function<void()> flood = [&] {
+    if (sim_->Now() >= flood_end) return;
+    sim_->ScheduleAfter(2 * kMillisecond, flood);
+    cluster_->Put(client_, newcomer, "flood", "x", {}, [](Result<Version>) {});
+  };
+  flood();
+  sim_->RunFor(3 * kSecond);
+  EXPECT_GT(cluster_->stats().migrate_deferred, 0u);
+  EXPECT_TRUE(cluster_->Migrating());
+
+  ASSERT_TRUE(WaitFor([&] {
+    return cluster_->committed_epoch() == 2 && !cluster_->Migrating();
+  }));
+  EXPECT_GT(cluster_->stats().keys_migrated, 0u);
+  EXPECT_GE(cluster_->stats().migrations_completed, 1u);
+}
+
 }  // namespace
 }  // namespace evc::membership

@@ -105,5 +105,37 @@ TEST(Metrics, MergedCombinesGlobalAndAllNodes) {
   EXPECT_EQ(merged.histograms().at("lat").count(), 1u);
 }
 
+TEST(Tally, CreatesItsCounterOnFirstIncEvenAtZero) {
+  MetricsRegistry reg;
+  Tally t("dyn.hints_lost");
+  EXPECT_TRUE(reg.empty());
+  t.Inc(reg, 0);
+  ASSERT_EQ(reg.counters().size(), 1u);
+  EXPECT_EQ(reg.counters().at("dyn.hints_lost").value(), 0u);
+  EXPECT_EQ(t, 0u);
+}
+
+TEST(Tally, EachReadsItsOwnCountWhileTheRegistrySumsThem) {
+  MetricsRegistry reg;
+  Tally a("resilience.attempts");
+  Tally b("resilience.attempts");
+  a.Inc(reg);
+  b.Inc(reg, 2);
+  a.Inc(reg, 4);
+  EXPECT_EQ(a, 5u);
+  EXPECT_EQ(b, 2u);
+  EXPECT_EQ(reg.counters().size(), 1u);
+  EXPECT_EQ(reg.counters().at("resilience.attempts").value(), 7u);
+}
+
+TEST(Tally, NullNameCountsOnlyLocally) {
+  MetricsRegistry reg;
+  Tally t;
+  t.Inc(reg, 0);
+  t.Inc(reg, 3);
+  EXPECT_EQ(t, 3u);
+  EXPECT_TRUE(reg.empty());
+}
+
 }  // namespace
 }  // namespace evc::obs

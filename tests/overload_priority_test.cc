@@ -146,5 +146,88 @@ TEST(OverloadPriorityTest, BackgroundShedsFirstAndClientP99StaysBounded) {
   }
 }
 
+// Hint delivery is background work: a holder that has just heard a loaded
+// reply from the intended home (its admission queue past
+// background_yield_load) holds the batch instead of adding to the queue,
+// and delivers it once that load signal has aged out.
+TEST(OverloadPriorityTest, HintsWaitOutTheirDestinationsLoadThenDrain) {
+  sim::Simulator sim(7);
+  sim::Network net(&sim,
+                   std::make_unique<sim::ConstantLatency>(2 * kMillisecond));
+  sim::Rpc rpc(&net);
+
+  QuorumConfig config;
+  config.replication_factor = 3;
+  config.read_quorum = 2;
+  config.write_quorum = 2;
+  config.sloppy = true;
+  config.use_oracle_detector = true;
+  config.admission_enabled = true;
+  config.admission.max_concurrent = 1;
+  config.admission.service_time = 20 * kMillisecond;
+  config.admission.foreground_queue_limit = 16;
+  config.admission.background_queue_limit = 4;
+  config.admission.sojourn_target = 0;  // queued work waits, never sheds
+
+  DynamoCluster cluster(&rpc, config);
+  const auto servers = cluster.AddServers(4);
+  const sim::NodeId client = net.AddNode();
+  const sim::NodeId victim = servers[3];
+  std::vector<std::string> victim_keys;
+  for (int i = 0; victim_keys.size() < 8; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    for (sim::NodeId n : cluster.PreferenceList(key)) {
+      if (n == victim) victim_keys.push_back(key);
+    }
+  }
+
+  // Park hints for the victim while it is down.
+  net.SetNodeUp(victim, false);
+  for (size_t i = 0; i < victim_keys.size(); ++i) {
+    cluster.Put(client, servers[i % 3], victim_keys[i], "v", {},
+                [](Result<Version>) {});
+  }
+  sim.RunFor(1 * kSecond);
+  ASSERT_GT(cluster.pending_hints(), 0u);
+  const uint64_t hints_parked = cluster.pending_hints();
+
+  // The victim returns into a flood of client ops that fills its
+  // foreground queue. Every other server then reads the victim's keys: the
+  // read legs are rejected at the full queue, and each rejection carries
+  // the victim's load back to the server that sent it.
+  net.SetNodeUp(victim, true);
+  for (int i = 0; i < 40; ++i) {
+    cluster.Put(client, victim, "flood" + std::to_string(i), "x", {},
+                [](Result<Version>) {});
+  }
+  sim.RunFor(5 * kMillisecond);
+  for (size_t i = 0; i < 3; ++i) {
+    for (const std::string& key : victim_keys) {
+      cluster.Get(client, servers[i], key, [](Result<ReadResult>) {});
+    }
+  }
+  sim.RunFor(100 * kMillisecond);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_GE(rpc.PeerLoad(servers[i], victim), config.background_yield_load);
+  }
+
+  cluster.StartHintDelivery(25 * kMillisecond);
+  sim.RunFor(30 * kMillisecond);
+  EXPECT_GE(cluster.admission(victim)->LoadPercent(),
+            config.background_yield_load);
+  EXPECT_GT(cluster.stats().hints_deferred, 0u);
+  EXPECT_EQ(cluster.stats().hints_delivered, 0u);
+  EXPECT_EQ(cluster.pending_hints(), hints_parked);
+
+  // The load signal ages out (Rpc::kLoadSignalTtl) while the victim's
+  // queue drains; the held hints then go through.
+  sim.RunFor(3 * kSecond);
+  EXPECT_GT(cluster.stats().hints_delivered, 0u);
+  EXPECT_EQ(cluster.pending_hints(), 0u);
+  EXPECT_EQ(cluster.stats().hints_stored,
+            cluster.stats().hints_delivered + cluster.stats().hints_lost +
+                cluster.pending_hints());
+}
+
 }  // namespace
 }  // namespace evc::repl

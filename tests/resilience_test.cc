@@ -621,6 +621,21 @@ TEST_F(ResilientRpcTest, FlakyLinkSuspicionCountsAsOracleDisagreement) {
           .CounterFor("resilience.detector.false_positives")
           .value(),
       a->stats().false_positives);
+
+  // stats() is per instance while resilience.* sums every instance: two
+  // ResilientRpcs on one Rpc each count only their own calls.
+  CallOptions opts;
+  int ok = 0;
+  auto count_ok = [&](Result<sim::Payload> r) { ok += r.ok() ? 1 : 0; };
+  a->Call(server2_, "echo", EchoReq{"a"}, opts, count_ok);
+  b.Call(server2_, "echo", EchoReq{"b1"}, opts, count_ok);
+  b.Call(server2_, "echo", EchoReq{"b2"}, opts, count_ok);
+  sim_.RunFor(1 * kSecond);
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(a->stats().attempts, 1u);
+  EXPECT_EQ(b.stats().attempts, 2u);
+  EXPECT_EQ(
+      sim_.metrics().global().CounterFor("resilience.attempts").value(), 3u);
 }
 
 // Satellite: a reply landing after its caller timed out is now visible as

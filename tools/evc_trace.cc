@@ -11,6 +11,8 @@
 // determined the end-to-end latency.
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,18 +54,38 @@ void Usage() {
                "                 [--critical-path]\n");
 }
 
+/// Parses a whole base-10 unsigned number no larger than `max`. strtoull
+/// alone would accept leading blanks, a sign, or trailing junk, and read
+/// "abc" as 0.
+bool ParseUnsigned(const char* text, uint64_t max, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno != 0 ||
+      value > max) {
+    std::fprintf(stderr, "evc_trace: not a number in range: '%s'\n", text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--node=", 0) == 0) {
+      uint64_t node = 0;
+      if (!ParseUnsigned(arg.c_str() + 7, UINT32_MAX, &node)) return false;
       opt->has_node = true;
-      opt->node = static_cast<uint32_t>(std::strtoul(arg.c_str() + 7, nullptr, 10));
+      opt->node = static_cast<uint32_t>(node);
     } else if (arg.rfind("--name=", 0) == 0) {
       opt->name_substr = arg.substr(7);
     } else if (arg.rfind("--outcome=", 0) == 0) {
       opt->outcome = arg.substr(10);
     } else if (arg.rfind("--limit=", 0) == 0) {
-      opt->limit = static_cast<size_t>(std::strtoul(arg.c_str() + 8, nullptr, 10));
+      uint64_t limit = 0;
+      if (!ParseUnsigned(arg.c_str() + 8, SIZE_MAX, &limit)) return false;
+      opt->limit = static_cast<size_t>(limit);
     } else if (arg == "--tree") {
       opt->tree = true;
     } else if (arg == "--critical-path") {
