@@ -7,6 +7,11 @@
 
 namespace evc::cache {
 
+namespace {
+/// Client-side timeout for a read-through to the master.
+constexpr sim::Time kReadTimeout = 500 * sim::kMillisecond;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // EdgeCacheClient
 
@@ -44,7 +49,7 @@ void EdgeCacheClient::Get(const std::string& key, uint64_t min_seqno,
   const sim::NodeId master = tier_->cluster_->MasterOf(key);
   tier_->rpc_->Call(
       node_, master, tier_->m_read_,
-      EdgeCacheTier::CacheReadReq{key, min_seqno}, tier_->options_.read_timeout,
+      EdgeCacheTier::CacheReadReq{key, min_seqno}, kReadTimeout,
       [this, key, done = std::move(done)](Result<sim::Payload> r) {
         if (!r.ok()) {
           done(r.status());
@@ -177,7 +182,7 @@ void EdgeCacheTier::AttachServer(sim::NodeId node) {
   const uint64_t seed =
       0x1ea5e5ULL ^ (uint64_t{node} + 1) * 0x9e3779b97f4a7c15ULL;
   st->resilient = std::make_unique<resilience::ResilientRpc>(
-      rpc_, node, options_.resilience, seed);
+      rpc_, node, resilience::ResilienceOptions{}, seed);
   ServerState* raw = st.get();
   rpc_->RegisterHandler(
       node, m_read_,
@@ -304,7 +309,7 @@ void EdgeCacheTier::GateWrite(sim::NodeId master, const std::string& key,
 void EdgeCacheTier::Pump(ServerState* st, const std::string& key,
                          const std::shared_ptr<RevokeBatch>& batch) {
   while (batch->next < batch->holders.size() &&
-         batch->inflight < options_.max_revoke_fanout) {
+         batch->inflight < kMaxRevokeFanout) {
     const LeaseHolder holder = batch->holders[batch->next++];
     ++batch->inflight;
     RevokeOne(st, key, holder, batch);

@@ -62,10 +62,6 @@ struct EdgeCacheOptions {
   /// stop early at the lease's own expiry (deadline propagation).
   sim::Time revoke_timeout = 100 * sim::kMillisecond;
   int revoke_attempts = 4;
-  /// Revoke RPCs in flight at once per gated write (fan-out bound).
-  int max_revoke_fanout = 8;
-  /// Client-side timeout for a read-through to the master.
-  sim::Time read_timeout = 500 * sim::kMillisecond;
   /// Register servers and clients as simulator CrashParticipants: a master
   /// crash drops its lease table and fences writes for one ttl on restart;
   /// a client crash drops its cache.
@@ -77,9 +73,10 @@ struct EdgeCacheOptions {
   /// serve the overwritten value (the bug this option's regression test
   /// reproduces by turning it off).
   bool fence_on_master_move = true;
-  /// Retry/backoff tuning for the revoke fan-out ResilientRpc instances.
-  resilience::ResilienceOptions resilience;
 };
+
+/// Revoke RPCs in flight at once per gated write (fan-out bound).
+inline constexpr int kMaxRevokeFanout = 8;
 
 /// Tier-wide monotonic counters (client + server side pooled).
 struct CacheStats {

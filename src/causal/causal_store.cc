@@ -8,6 +8,7 @@ namespace {
 constexpr char kPut[] = "cc.put";
 constexpr char kGet[] = "cc.get";
 constexpr char kReplicate[] = "cc.replicate";
+constexpr sim::Time kRpcTimeout = 500 * sim::kMillisecond;
 }  // namespace
 
 CausalCluster::CausalCluster(sim::Rpc* rpc, CausalOptions options)
@@ -76,7 +77,7 @@ void CausalCluster::ApplyWrite(Datacenter* dc, const ReplicatedWrite& write,
     auto& hist = dc->history[write.key];
     hist.push_back(rec);
     while (hist.size() > kHistoryDepth) hist.pop_front();
-    if (options_.durable && !replaying) {
+    if (!replaying) {
       std::string raw;
       PutLengthPrefixed(&raw, write.key);
       PutLengthPrefixed(&raw, write.value);
@@ -104,7 +105,10 @@ void CausalCluster::DrainPending(Datacenter* dc) {
       const double waited = static_cast<double>(
           rpc_->simulator()->Now() - write.arrived_at);
       stats_.dep_wait_us.Add(waited);
-      Obs().HistogramFor("causal.dep_wait_us").Add(waited);
+      if (dep_wait_hist_ == nullptr) {
+        dep_wait_hist_ = &Obs().HistogramFor("causal.dep_wait_us");
+      }
+      dep_wait_hist_->Add(waited);
       ApplyWrite(dc, write);
       progress = true;
       break;  // iterator invalidated; rescan
@@ -190,7 +194,7 @@ void CausalCluster::Put(sim::NodeId client, sim::NodeId dc,
   req.key = key;
   req.value = std::move(value);
   req.deps = std::move(deps);
-  rpc_->Call(client, dc, m_put_, std::move(req), options_.rpc_timeout,
+  rpc_->Call(client, dc, m_put_, std::move(req), kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
@@ -203,7 +207,7 @@ void CausalCluster::Put(sim::NodeId client, sim::NodeId dc,
 void CausalCluster::Get(sim::NodeId client, sim::NodeId dc,
                         const std::string& key, GetCallback done) {
   GetReq req{key, WriteId{}};
-  rpc_->Call(client, dc, m_get_, std::move(req), options_.rpc_timeout,
+  rpc_->Call(client, dc, m_get_, std::move(req), kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
@@ -266,7 +270,7 @@ void CausalCluster::GetTransaction(sim::NodeId client, sim::NodeId dc,
     r2->outstanding = static_cast<int>(refetch.size());
     for (const size_t i : refetch) {
       GetReq req{state->keys[i], required[state->keys[i]]};
-      rpc_->Call(client, dc, m_get_, std::move(req), options_.rpc_timeout,
+      rpc_->Call(client, dc, m_get_, std::move(req), kRpcTimeout,
                  [state, r2, i, done](Result<sim::Payload> r) {
                    if (!r.ok()) {
                      r2->failed = true;
@@ -287,7 +291,7 @@ void CausalCluster::GetTransaction(sim::NodeId client, sim::NodeId dc,
 
   for (size_t i = 0; i < state->keys.size(); ++i) {
     GetReq req{state->keys[i], WriteId{}};
-    rpc_->Call(client, dc, m_get_, std::move(req), options_.rpc_timeout,
+    rpc_->Call(client, dc, m_get_, std::move(req), kRpcTimeout,
                [state, i, done, round2](Result<sim::Payload> r) {
                  if (!r.ok()) {
                    state->failed = true;

@@ -59,10 +59,6 @@ struct CausalRead {
 };
 
 struct CausalOptions {
-  sim::Time rpc_timeout = 500 * sim::kMillisecond;
-  /// Journal applied writes per datacenter so a crashed replica recovers
-  /// its applied prefix (the Lamport clock recovers with it).
-  bool durable = true;
   /// Register datacenters as simulator CrashParticipants (sim/nemesis.h).
   bool crash_amnesia = true;
 };
@@ -149,7 +145,8 @@ class CausalCluster : private sim::CrashParticipant {
     // Bounded multi-version history, oldest first (GT round-2 fetches).
     std::map<std::string, std::deque<Record>> history;
     std::deque<ReplicatedWrite> pending;  // dep-unsatisfied remote writes
-    // Applied-write journal, replayed on restart (empty when !durable).
+    // Applied-write journal, replayed on restart: a crashed replica recovers
+    // its applied prefix (the Lamport clock recovers with it).
     WriteAheadLog wal;
   };
   struct PutReq {
@@ -193,6 +190,9 @@ class CausalCluster : private sim::CrashParticipant {
   std::vector<std::unique_ptr<Datacenter>> dcs_;
   std::map<sim::NodeId, Datacenter*> by_node_;
   CausalStats stats_;
+  /// `causal.dep_wait_us`, bound on the first deferred write so a run with
+  /// none exports no such instrument.
+  Histogram* dep_wait_hist_ = nullptr;
   sim::CrashRegistrar crash_registrar_;
 };
 

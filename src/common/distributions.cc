@@ -67,24 +67,4 @@ uint64_t LatestDistribution::Next(Rng& rng) {
   return item_count_ - 1 - back;
 }
 
-HotspotDistribution::HotspotDistribution(uint64_t item_count,
-                                         double hot_set_fraction,
-                                         double hot_draw_fraction)
-    : item_count_(item_count),
-      hot_count_(static_cast<uint64_t>(
-          static_cast<double>(item_count) * hot_set_fraction)),
-      hot_draw_fraction_(hot_draw_fraction) {
-  EVC_CHECK(item_count > 0);
-  if (hot_count_ == 0) hot_count_ = 1;
-  if (hot_count_ > item_count_) hot_count_ = item_count_;
-}
-
-uint64_t HotspotDistribution::Next(Rng& rng) {
-  if (rng.NextBool(hot_draw_fraction_)) {
-    return rng.NextBounded(hot_count_);
-  }
-  if (hot_count_ == item_count_) return rng.NextBounded(item_count_);
-  return hot_count_ + rng.NextBounded(item_count_ - hot_count_);
-}
-
 }  // namespace evc

@@ -84,21 +84,6 @@ class LatestDistribution : public KeyDistribution {
   ZipfianDistribution zipf_;
 };
 
-/// Hotspot distribution: `hot_fraction` of draws hit the first
-/// `hot_set_fraction * n` items uniformly; the rest hit the cold set.
-class HotspotDistribution : public KeyDistribution {
- public:
-  HotspotDistribution(uint64_t item_count, double hot_set_fraction,
-                      double hot_draw_fraction);
-  uint64_t Next(Rng& rng) override;
-  uint64_t item_count() const override { return item_count_; }
-
- private:
-  uint64_t item_count_;
-  uint64_t hot_count_;
-  double hot_draw_fraction_;
-};
-
 }  // namespace evc
 
 #endif  // EVC_COMMON_DISTRIBUTIONS_H_

@@ -70,14 +70,6 @@ struct Execution {
 };
 
 struct PaxosOptions {
-  /// Per-phase RPC timeout. Must exceed the worst round trip in the
-  /// deployment (the WAN matrix tops out near 110 ms one-way).
-  sim::Time rpc_timeout = 400 * sim::kMillisecond;
-  sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-  /// Base election timeout; each follower randomizes in [T, 2T).
-  sim::Time election_timeout = 600 * sim::kMillisecond;
-  /// Client-visible proposal timeout.
-  sim::Time proposal_timeout = 2 * sim::kSecond;
   /// Register servers as simulator CrashParticipants: a nemesis crash drops
   /// all volatile state and a restart recovers from the acceptor journal.
   /// Off means the pre-durability behavior (crash = network silence only).

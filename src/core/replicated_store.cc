@@ -39,11 +39,12 @@ struct ReplicatedStore::ClientState {
 };
 
 struct ReplicatedStore::Impl {
-  // Exactly one of these is populated, per options.level.
+  // Exactly one of these is populated, per options.level. Server vectors
+  // are indexed by datacenter (one server each), so a client's local-first
+  // coordinator is servers[client dc].
   std::unique_ptr<repl::DynamoCluster> dynamo;
   std::unique_ptr<repl::AntiEntropy> anti_entropy;
   std::vector<sim::NodeId> dynamo_servers;
-  std::vector<int> server_dc;  // dc of dynamo_servers[i]
 
   std::unique_ptr<consensus::PaxosCluster> paxos;
   std::vector<sim::NodeId> paxos_servers;
@@ -53,13 +54,11 @@ struct ReplicatedStore::Impl {
 
   std::unique_ptr<repl::TimelineCluster> timeline;
   std::vector<sim::NodeId> timeline_servers;
-  std::vector<int> timeline_server_dc;
 };
 
 ReplicatedStore::ReplicatedStore(StoreOptions options)
     : options_(options), impl_(std::make_unique<Impl>()) {
   EVC_CHECK(options_.datacenters >= 1 && options_.datacenters <= 5);
-  EVC_CHECK(options_.servers_per_datacenter >= 1);
 
   sim_ = std::make_unique<sim::Simulator>(options_.seed);
   auto base = options_.datacenters <= 3
@@ -73,14 +72,11 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
   net_ = std::make_unique<sim::Network>(sim_.get(), std::move(latency));
   rpc_ = std::make_unique<sim::Rpc>(net_.get());
 
-  const int total_servers =
-      options_.datacenters * options_.servers_per_datacenter;
-
   switch (options_.level) {
     case ConsistencyLevel::kEventual:
     case ConsistencyLevel::kQuorum: {
       repl::QuorumConfig config;
-      config.replication_factor = std::min(3, total_servers);
+      config.replication_factor = std::min(3, options_.datacenters);
       if (options_.level == ConsistencyLevel::kEventual) {
         config.read_quorum = 1;
         config.write_quorum = 1;
@@ -92,12 +88,10 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
       }
       impl_->dynamo = std::make_unique<repl::DynamoCluster>(rpc_.get(),
                                                             config);
-      for (int s = 0; s < total_servers; ++s) {
+      for (int dc = 0; dc < options_.datacenters; ++dc) {
         const sim::NodeId node = impl_->dynamo->AddServer();
-        const int dc = s % options_.datacenters;
         wan_->AssignNode(node, dc);
         impl_->dynamo_servers.push_back(node);
-        impl_->server_dc.push_back(dc);
       }
       // Anti-entropy keeps eventual replicas converging in the background.
       std::vector<ReplicaStorage*> storages;
@@ -115,9 +109,9 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
     case ConsistencyLevel::kStrong: {
       impl_->paxos = std::make_unique<consensus::PaxosCluster>(
           rpc_.get(), consensus::PaxosOptions{});
-      for (int s = 0; s < total_servers; ++s) {
+      for (int dc = 0; dc < options_.datacenters; ++dc) {
         const sim::NodeId node = impl_->paxos->AddServer();
-        wan_->AssignNode(node, s % options_.datacenters);
+        wan_->AssignNode(node, dc);
         impl_->paxos_servers.push_back(node);
       }
       impl_->paxos->Start();
@@ -137,12 +131,10 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
     case ConsistencyLevel::kTimeline: {
       impl_->timeline = std::make_unique<repl::TimelineCluster>(
           rpc_.get(), repl::TimelineOptions{});
-      for (int s = 0; s < total_servers; ++s) {
+      for (int dc = 0; dc < options_.datacenters; ++dc) {
         const sim::NodeId node = impl_->timeline->AddServer();
-        const int dc = s % options_.datacenters;
         wan_->AssignNode(node, dc);
         impl_->timeline_servers.push_back(node);
-        impl_->timeline_server_dc.push_back(dc);
       }
       break;
     }
@@ -169,19 +161,6 @@ sim::NodeId ReplicatedStore::AddClient(int dc) {
   return node;
 }
 
-namespace {
-
-// Picks the coordinator in the client's datacenter (local-first routing).
-sim::NodeId LocalServer(const std::vector<sim::NodeId>& servers,
-                        const std::vector<int>& server_dc, int client_dc) {
-  for (size_t i = 0; i < servers.size(); ++i) {
-    if (server_dc[i] == client_dc) return servers[i];
-  }
-  return servers[0];
-}
-
-}  // namespace
-
 void ReplicatedStore::Put(sim::NodeId client, const std::string& key,
                           std::string value, WriteCallback done) {
   auto it = clients_.find(client);
@@ -200,8 +179,7 @@ void ReplicatedStore::Put(sim::NodeId client, const std::string& key,
   switch (options_.level) {
     case ConsistencyLevel::kEventual:
     case ConsistencyLevel::kQuorum: {
-      const sim::NodeId coordinator =
-          LocalServer(impl_->dynamo_servers, impl_->server_dc, state->dc);
+      const sim::NodeId coordinator = impl_->dynamo_servers[state->dc];
       const VersionVector ctx = state->contexts[key];
       impl_->dynamo->Put(client, coordinator, key, std::move(value), ctx,
                          [state, key, finish](Result<Version> r) {
@@ -251,8 +229,7 @@ void ReplicatedStore::Get(sim::NodeId client, const std::string& key,
   switch (options_.level) {
     case ConsistencyLevel::kEventual:
     case ConsistencyLevel::kQuorum: {
-      const sim::NodeId coordinator =
-          LocalServer(impl_->dynamo_servers, impl_->server_dc, state->dc);
+      const sim::NodeId coordinator = impl_->dynamo_servers[state->dc];
       impl_->dynamo->Get(
           client, coordinator, key,
           [state, key, finish](Result<repl::ReadResult> r) {
@@ -290,8 +267,7 @@ void ReplicatedStore::Get(sim::NodeId client, const std::string& key,
           });
       break;
     case ConsistencyLevel::kTimeline: {
-      const sim::NodeId replica = LocalServer(
-          impl_->timeline_servers, impl_->timeline_server_dc, state->dc);
+      const sim::NodeId replica = impl_->timeline_servers[state->dc];
       impl_->timeline->Read(
           client, replica, key, repl::TimelineReadLevel::kAny, 0,
           [finish, key](Result<repl::TimelineRead> r) {

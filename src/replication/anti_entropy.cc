@@ -1,6 +1,7 @@
 #include "replication/anti_entropy.h"
 
 #include "common/logging.h"
+#include "sim/rpc.h"
 
 namespace evc::repl {
 
@@ -141,7 +142,7 @@ void AntiEntropy::GossipRound(size_t index) {
       // the liveness filter; unset hook = no rng perturbation.
       if (options_.load_of && options_.load_of(nodes_[index],
                                                nodes_[candidate]) >=
-                                  options_.yield_load) {
+                                  sim::Rpc::kBackgroundYieldLoad) {
         stats_.peers_yielded.Inc(Obs());
         if (++rejected >= 8) break;
         continue;

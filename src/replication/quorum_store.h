@@ -42,11 +42,9 @@ struct QuorumConfig {
   int write_quorum = 2;        ///< W: acks required for a write
   bool sloppy = true;          ///< divert to fallback nodes with hints
   bool read_repair = true;     ///< push merged versions to stale replicas
-  sim::Time rpc_timeout = 250 * sim::kMillisecond;
   /// Placement: modulo ring walk (false) or consistent hashing with
   /// virtual nodes (true; see HashRing). Ablation 3 compares them.
   bool use_hash_ring = false;
-  int ring_vnodes = 64;
   ReplicaStorageOptions storage;
   /// Register servers as simulator CrashParticipants: a nemesis crash drops
   /// the volatile hint buffers (counted in hints_lost) and restart replays
@@ -63,13 +61,6 @@ struct QuorumConfig {
   /// Hedge client reads: a slow coordinator gets raced against the next
   /// server after a latency-percentile delay (first reply wins).
   bool hedge_reads = false;
-  /// Elastic mode (EnableElastic): floor below which RemoveServerLive
-  /// refuses to shrink the member set.
-  int min_members = 3;
-  /// Elastic mode: period of each server's view-refresh pull from the
-  /// config service (push broadcasts cover the common case; the pull covers
-  /// servers that were crashed or partitioned during the push).
-  sim::Time view_refresh_interval = 2 * sim::kSecond;
   /// Retry/hedge/detector tuning shared by all servers and clients.
   resilience::ResilienceOptions resilience;
   /// Server-side admission control (overload defense, DESIGN.md §4.5):
@@ -78,16 +69,15 @@ struct QuorumConfig {
   /// migration streaming are background; ping probes bypass the queue.
   bool admission_enabled = false;
   resilience::AdmissionOptions admission;
-  /// Background senders (hint delivery, migration streaming) yield when the
-  /// destination's piggybacked load signal reaches this percent (0..100;
-  /// values above 50 mean its admission queue has started to fill).
-  uint32_t background_yield_load = 75;
-  /// Client-op shape: attempts and overall deadline (in rpc_timeout
-  /// multiples) for the resilient client call. Defaults keep the historical
+  /// Attempts of the resilient client call, inside an overall deadline of
+  /// 4 per-RPC timeouts. The default keeps the historical
   /// two-attempts-in-4x-budget behavior.
   int client_attempts = 2;
-  int client_deadline_budget = 4;
 };
+
+/// Elastic mode (EnableElastic): floor below which RemoveServerLive refuses
+/// to shrink the member set.
+inline constexpr int kMinElasticMembers = 3;
 
 /// Result of a quorum read.
 struct ReadResult {
@@ -362,7 +352,7 @@ class DynamoCluster : private sim::CrashParticipant {
   /// Reuses the server's instance when `client` is also a server node.
   resilience::ResilientRpc* ClientRpc(sim::NodeId client);
   /// Per-call options for client ops: two attempts inside the same overall
-  /// 4*rpc_timeout budget the seed spent on one long-shot RPC.
+  /// budget (4 per-RPC timeouts) the seed spent on one long-shot RPC.
   resilience::CallOptions ClientCallOptions() const;
   /// Global metrics registry of the owning simulator (dyn.* instruments).
   obs::MetricsRegistry& Obs();

@@ -3,17 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/status.h"
-
 namespace evc::resilience {
 
+namespace {
+/// Inter-arrival samples kept per peer (sliding window).
+constexpr size_t kWindow = 100;
+/// Floor on the interval standard deviation, so a metronome-regular
+/// heartbeat stream does not make phi explode on the first hiccup.
+constexpr sim::Time kMinStd = 20 * sim::kMillisecond;
+/// Assumed mean interval while fewer than two samples exist.
+constexpr sim::Time kFirstIntervalEstimate = 500 * sim::kMillisecond;
+}  // namespace
+
 PhiAccrualDetector::PhiAccrualDetector(DetectorOptions options)
-    : options_(options) {
-  EVC_CHECK(options_.suspect_threshold > 0.0);
-  EVC_CHECK(options_.window >= 2);
-  EVC_CHECK(options_.min_std > 0);
-  EVC_CHECK(options_.first_interval_estimate > 0);
-}
+    : options_(options) {}
 
 void PhiAccrualDetector::OnArrival(uint32_t peer, sim::Time now) {
   PeerHistory& h = peers_[peer];
@@ -24,7 +27,7 @@ void PhiAccrualDetector::OnArrival(uint32_t peer, sim::Time now) {
     const double x = static_cast<double>(interval);
     h.sum += x;
     h.sum_sq += x * x;
-    if (h.intervals.size() > options_.window) {
+    if (h.intervals.size() > kWindow) {
       const double old = static_cast<double>(h.intervals.front());
       h.intervals.pop_front();
       h.sum -= old;
@@ -52,7 +55,7 @@ double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
   double mean;
   double std_dev;
   if (h.intervals.size() < 2) {
-    mean = static_cast<double>(options_.first_interval_estimate);
+    mean = static_cast<double>(kFirstIntervalEstimate);
     std_dev = mean / 4.0;
   } else {
     const double n = static_cast<double>(h.intervals.size());
@@ -60,7 +63,7 @@ double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
     const double var = std::max(0.0, h.sum_sq / n - mean * mean);
     std_dev = std::sqrt(var);
   }
-  std_dev = std::max(std_dev, static_cast<double>(options_.min_std));
+  std_dev = std::max(std_dev, static_cast<double>(kMinStd));
 
   const double t = static_cast<double>(std::max<sim::Time>(0, now - h.last_arrival));
   // Logistic approximation to the normal tail (as in Akka's implementation):
@@ -75,7 +78,7 @@ double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
 
 bool PhiAccrualDetector::IsSuspected(uint32_t peer, sim::Time now) const {
   if (ConsecutiveFailuresExceeded(peer)) return true;
-  return Phi(peer, now) >= options_.suspect_threshold;
+  return Phi(peer, now) >= kSuspectThreshold;
 }
 
 bool PhiAccrualDetector::ConsecutiveFailuresExceeded(uint32_t peer) const {

@@ -10,6 +10,16 @@ namespace evc::resilience {
 
 namespace {
 constexpr char kPingMethod[] = "rsl.ping";
+/// Hedge after the observed latency at this percentile (of this node's
+/// successful attempts) has elapsed without a reply, but never sooner than
+/// kHedgeMinDelay.
+constexpr double kHedgePercentile = 0.95;
+constexpr sim::Time kHedgeMinDelay = 1 * sim::kMillisecond;
+/// Retry-budget tokens a retry or hedge costs.
+constexpr double kRetryCost = 1.0;
+/// Bounds on the AIMD concurrency limit.
+constexpr double kAimdMinLimit = 1.0;
+constexpr double kAimdMaxLimit = 256.0;
 struct PingReq {};
 }  // namespace
 
@@ -158,11 +168,11 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
             if (state->opts.respect_limits &&
                 options_.retry_budget.enabled) {
               DestState& dest = DestFor(hedge_to);
-              if (dest.budget_tokens < options_.retry_budget.retry_cost) {
+              if (dest.budget_tokens < kRetryCost) {
                 stats_.hedges_suppressed_budget.Inc(Obs());
                 return;
               }
-              dest.budget_tokens -= options_.retry_budget.retry_cost;
+              dest.budget_tokens -= kRetryCost;
             }
             state->hedge_issued = true;
             stats_.hedges_issued.Inc(Obs());
@@ -200,7 +210,7 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
   // breaker would convert overload into apparent death and move the herd
   // onto the next victim.
   const bool alive = r.ok() || !r.status().IsTimedOut();
-  if (state->opts.record_outcome) RecordOutcome(dest, alive);
+  RecordOutcome(dest, alive);
 
   // Overload-defense feedback. Successes refill the retry budget and grow
   // the AIMD limit additively; overload signals (attempt timeout or an
@@ -217,14 +227,13 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
     }
     if (options_.aimd.enabled) {
       dest_state.aimd_limit =
-          std::min(options_.aimd.max_limit,
+          std::min(kAimdMaxLimit,
                    dest_state.aimd_limit +
                        1.0 / std::max(1.0, dest_state.aimd_limit));
     }
   } else if (overload_signal && options_.aimd.enabled) {
     dest_state.aimd_limit =
-        std::max(options_.aimd.min_limit,
-                 dest_state.aimd_limit * options_.aimd.backoff_ratio);
+        std::max(kAimdMinLimit, dest_state.aimd_limit * kAimdBackoffRatio);
   }
   if (!r.ok() && r.status().IsResourceExhausted()) {
     stats_.resource_exhausted_replies.Inc(Obs());
@@ -283,14 +292,14 @@ void ResilientRpc::RetryOrFail(const std::shared_ptr<CallState>& state,
   // budget caps total amplification.
   if (state->opts.respect_limits && options_.retry_budget.enabled) {
     DestState& dest = DestFor(state->to);
-    if (dest.budget_tokens < options_.retry_budget.retry_cost) {
+    if (dest.budget_tokens < kRetryCost) {
       stats_.budget_exhausted.Inc(Obs());
       Complete(state, state->last_error.ok()
                           ? Status::Unavailable("retry budget exhausted")
                           : state->last_error);
       return;
     }
-    dest.budget_tokens -= options_.retry_budget.retry_cost;
+    dest.budget_tokens -= kRetryCost;
   }
   sim::Time backoff = retry_.BackoffBefore(attempt + 1);
   // An overloaded server's retry-after hint dominates the local policy:
@@ -323,11 +332,11 @@ void ResilientRpc::FailDeadline(const std::shared_ptr<CallState>& state) {
 sim::Time ResilientRpc::HedgeDelay() const {
   const HedgeOptions& h = options_.hedge;
   if (attempt_latency_us_.count() < h.min_samples) {
-    return std::max(h.min_delay, h.default_delay);
+    return std::max(kHedgeMinDelay, h.default_delay);
   }
   const auto p =
-      static_cast<sim::Time>(attempt_latency_us_.Percentile(h.percentile));
-  return std::max(h.min_delay, p);
+      static_cast<sim::Time>(attempt_latency_us_.Percentile(kHedgePercentile));
+  return std::max(kHedgeMinDelay, p);
 }
 
 void ResilientRpc::RecordOutcome(sim::NodeId peer, bool success,

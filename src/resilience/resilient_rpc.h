@@ -47,19 +47,15 @@ namespace evc::resilience {
 
 /// Hedged-request policy: when to issue the second attempt.
 struct HedgeOptions {
-  /// Hedge after the observed latency at this percentile (of this node's
-  /// successful attempts) has elapsed without a reply.
-  double percentile = 0.95;
-  /// Samples required before the percentile is trusted.
+  /// Samples required before the latency percentile is trusted.
   size_t min_samples = 16;
   /// Hedge delay used until enough samples exist.
   sim::Time default_delay = 50 * sim::kMillisecond;
-  sim::Time min_delay = 1 * sim::kMillisecond;
 };
 
 /// Per-destination retry budget (gRPC-style token bucket). Every successful
 /// first-class reply refills `token_ratio` tokens; every retry AND every
-/// hedge debits `retry_cost`. An exhausted budget fails the call fast with
+/// hedge debits one token. An exhausted budget fails the call fast with
 /// the last error instead of amplifying: under overload, N clients retrying
 /// M times turn offered load L into L*(1+M) — the budget caps sustained
 /// amplification at 1 + token_ratio.
@@ -70,8 +66,6 @@ struct RetryBudgetOptions {
   /// Tokens credited per successful reply: 0.1 sustains one retry per ten
   /// successes.
   double token_ratio = 0.1;
-  /// Tokens a retry or hedge costs.
-  double retry_cost = 1.0;
 };
 
 /// AIMD adaptive concurrency limit per destination: successes grow the
@@ -83,11 +77,10 @@ struct RetryBudgetOptions {
 struct AimdOptions {
   bool enabled = false;
   double initial_limit = 16.0;
-  double min_limit = 1.0;
-  double max_limit = 256.0;
-  /// Multiplicative decrease factor on an overload signal.
-  double backoff_ratio = 0.7;
 };
+
+/// AIMD multiplicative decrease factor on an overload signal.
+inline constexpr double kAimdBackoffRatio = 0.7;
 
 struct ResilienceOptions {
   RetryOptions retry;
@@ -114,8 +107,6 @@ struct CallOptions {
   bool hedge = false;
   /// Destination of the hedged copy; kSameDestination re-sends to `to`.
   sim::NodeId hedge_to = kSameDestination;
-  /// Feed attempt outcomes into the detector/breaker.
-  bool record_outcome = true;
   /// Reject attempts the breaker holds open (failing fast with Unavailable).
   bool respect_breaker = true;
   /// Subject this call to the retry budget and AIMD concurrency limit.

@@ -149,6 +149,10 @@ class Rpc {
 
   /// How long a piggybacked load sample stays authoritative.
   static constexpr Time kLoadSignalTtl = 1 * kSecond;
+  /// Background senders (hint delivery, migration streaming, anti-entropy
+  /// gossip) yield when a peer's PeerLoad reaches this percent: values above
+  /// 50 mean its admission queue has started to fill.
+  static constexpr uint32_t kBackgroundYieldLoad = 75;
 
   Network* network() { return network_; }
   Simulator* simulator() { return network_->simulator(); }

@@ -8,6 +8,7 @@ namespace {
 constexpr char kPut[] = "pl.put";
 constexpr char kGet[] = "pl.get";
 constexpr char kSync[] = "pl.sync";
+constexpr sim::Time kRpcTimeout = 2 * sim::kSecond;
 }  // namespace
 
 const char* ReadConsistencyToString(ReadConsistency c) {
@@ -125,7 +126,7 @@ void PileusCluster::Start() {
 void PileusCluster::Put(sim::NodeId client, const std::string& key,
                         std::string value, WriteCallback done) {
   PutReq req{key, std::move(value)};
-  rpc_->Call(client, primary(), m_put_, std::move(req), options_.rpc_timeout,
+  rpc_->Call(client, primary(), m_put_, std::move(req), kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
@@ -138,7 +139,7 @@ void PileusCluster::Put(sim::NodeId client, const std::string& key,
 void PileusCluster::RawGet(sim::NodeId client, sim::NodeId server,
                            const std::string& key, RawReadCallback done) {
   GetReq req{key};
-  rpc_->Call(client, server, m_get_, std::move(req), options_.rpc_timeout,
+  rpc_->Call(client, server, m_get_, std::move(req), kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());

@@ -61,7 +61,6 @@ struct SlaReadResult {
 };
 
 struct PileusOptions {
-  sim::Time rpc_timeout = 2 * sim::kSecond;
   /// Secondaries apply primary updates shipped every sync period.
   sim::Time sync_interval = 200 * sim::kMillisecond;
 };

@@ -9,6 +9,9 @@ constexpr char kAcquire[] = "esc.acquire";
 constexpr char kSteal[] = "esc.steal";
 constexpr char kNaiveAcquire[] = "nv.acquire";
 constexpr char kNaiveDelta[] = "nv.delta";
+constexpr sim::Time kRpcTimeout = 2 * sim::kSecond;
+/// A dry replica asks the richest peer for this fraction of its share.
+constexpr double kStealFraction = 0.5;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -16,8 +19,8 @@ constexpr char kNaiveDelta[] = "nv.delta";
 // ---------------------------------------------------------------------------
 
 EscrowCluster::EscrowCluster(sim::Rpc* rpc, int replica_count,
-                             int64_t initial_total, EscrowOptions options)
-    : rpc_(rpc), options_(options) {
+                             int64_t initial_total)
+    : rpc_(rpc) {
   EVC_CHECK(rpc_ != nullptr);
   m_acquire_ = rpc_->InternMethod(kAcquire);
   m_steal_ = rpc_->InternMethod(kSteal);
@@ -80,7 +83,7 @@ void EscrowCluster::RegisterHandlers(Replica* replica) {
         // by what we hold. Giving from our escrow can never break the
         // invariant: units merely change custodian.
         const int64_t fraction = static_cast<int64_t>(
-            static_cast<double>(replica->share) * options_.steal_fraction);
+            static_cast<double>(replica->share) * kStealFraction);
         int64_t give = std::max(steal.wanted, fraction);
         if (give > replica->share) give = replica->share;
         replica->share -= give;
@@ -118,7 +121,7 @@ void EscrowCluster::HandleAcquire(Replica* replica, const AcquireReq& req,
   AcquireReq retry = req;
   retry.allow_steal = false;
   rpc_->Call(replica->node, replicas_[peer]->node, m_steal_, steal,
-             options_.rpc_timeout,
+             kRpcTimeout,
              [this, replica, retry, respond](Result<sim::Payload> r) mutable {
                if (r.ok()) {
                  replica->share += std::move(r).value().Take<int64_t>();
@@ -132,7 +135,7 @@ void EscrowCluster::Acquire(sim::NodeId client, int replica, int64_t amount,
   EVC_CHECK(amount > 0);
   AcquireReq req{amount, /*allow_steal=*/true};
   rpc_->Call(client, replica_node(replica), m_acquire_, req,
-             2 * options_.rpc_timeout, [done](Result<sim::Payload> r) {
+             2 * kRpcTimeout, [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
                } else {
@@ -146,9 +149,8 @@ void EscrowCluster::Acquire(sim::NodeId client, int replica, int64_t amount,
 // ---------------------------------------------------------------------------
 
 NaiveCounterCluster::NaiveCounterCluster(sim::Rpc* rpc, int replica_count,
-                                         int64_t initial_total,
-                                         sim::Time rpc_timeout)
-    : rpc_(rpc), rpc_timeout_(rpc_timeout), initial_total_(initial_total) {
+                                         int64_t initial_total)
+    : rpc_(rpc), initial_total_(initial_total) {
   EVC_CHECK(rpc_ != nullptr);
   m_naive_acquire_ = rpc_->InternMethod(kNaiveAcquire);
   t_naive_delta_ = rpc_->network()->InternType(kNaiveDelta);
@@ -204,7 +206,7 @@ void NaiveCounterCluster::Acquire(sim::NodeId client, int replica,
                                   int64_t amount, AcquireCallback done) {
   EVC_CHECK(amount > 0);
   AcquireReq req{amount};
-  rpc_->Call(client, replica_node(replica), m_naive_acquire_, req, rpc_timeout_,
+  rpc_->Call(client, replica_node(replica), m_naive_acquire_, req, kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());

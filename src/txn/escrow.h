@@ -24,12 +24,6 @@
 
 namespace evc::txn {
 
-struct EscrowOptions {
-  sim::Time rpc_timeout = 2 * sim::kSecond;
-  /// A dry replica asks the richest peer for this fraction of its share.
-  double steal_fraction = 0.5;
-};
-
 struct EscrowStats {
   uint64_t acquires_ok = 0;
   uint64_t acquires_aborted = 0;
@@ -41,8 +35,7 @@ struct EscrowStats {
 /// remaining quantity allows it, with purely local fast-path decisions.
 class EscrowCluster {
  public:
-  EscrowCluster(sim::Rpc* rpc, int replica_count, int64_t initial_total,
-                EscrowOptions options = {});
+  EscrowCluster(sim::Rpc* rpc, int replica_count, int64_t initial_total);
 
   using AcquireCallback = std::function<void(Result<int64_t>)>;
 
@@ -83,7 +76,6 @@ class EscrowCluster {
   // Pre-interned RPC methods / message types (resolved in the ctor).
   sim::MethodId m_acquire_ = 0;
   sim::MethodId m_steal_ = 0;
-  EscrowOptions options_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   int64_t total_acquired_ = 0;
   EscrowStats stats_;
@@ -99,8 +91,7 @@ struct NaiveCounterStats {
 /// different replicas both pass the check — the counter oversells.
 class NaiveCounterCluster {
  public:
-  NaiveCounterCluster(sim::Rpc* rpc, int replica_count, int64_t initial_total,
-                      sim::Time rpc_timeout = 2 * sim::kSecond);
+  NaiveCounterCluster(sim::Rpc* rpc, int replica_count, int64_t initial_total);
 
   using AcquireCallback = std::function<void(Result<int64_t>)>;
   void Acquire(sim::NodeId client, int replica, int64_t amount,
@@ -130,7 +121,6 @@ class NaiveCounterCluster {
   // Pre-interned RPC methods / message types (resolved in the ctor).
   sim::MethodId m_naive_acquire_ = 0;
   sim::MsgType t_naive_delta_ = 0;
-  sim::Time rpc_timeout_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   int64_t initial_total_ = 0;
   int64_t total_acquired_ = 0;

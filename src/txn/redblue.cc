@@ -6,10 +6,10 @@ namespace {
 constexpr char kLocalOp[] = "rb.local";
 constexpr char kRedOp[] = "rb.red";
 constexpr char kDelta[] = "rb.delta";
+constexpr sim::Time kRpcTimeout = 2 * sim::kSecond;
 }  // namespace
 
-RedBlueBank::RedBlueBank(sim::Rpc* rpc, int site_count, RedBlueOptions options)
-    : rpc_(rpc), options_(options) {
+RedBlueBank::RedBlueBank(sim::Rpc* rpc, int site_count) : rpc_(rpc) {
   EVC_CHECK(rpc_ != nullptr);
   m_local_op_ = rpc_->InternMethod(kLocalOp);
   m_red_op_ = rpc_->InternMethod(kRedOp);
@@ -114,7 +114,7 @@ void RedBlueBank::Deposit(sim::NodeId client, int site,
   EVC_CHECK(amount >= 0);
   LocalOpReq req{account, amount, /*is_withdraw=*/false};
   rpc_->Call(client, site_node(site), m_local_op_, std::move(req),
-             options_.rpc_timeout, [done](Result<sim::Payload> r) {
+             kRpcTimeout, [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
                } else {
@@ -129,7 +129,7 @@ void RedBlueBank::WithdrawBlue(sim::NodeId client, int site,
   EVC_CHECK(amount >= 0);
   LocalOpReq req{account, amount, /*is_withdraw=*/true};
   rpc_->Call(client, site_node(site), m_local_op_, std::move(req),
-             options_.rpc_timeout, [done](Result<sim::Payload> r) {
+             kRpcTimeout, [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
                } else {
@@ -145,7 +145,7 @@ void RedBlueBank::WithdrawRed(sim::NodeId client, int site,
   (void)site;  // red ops always route to the sequencer, wherever the client
   RedReq req{account, amount};
   rpc_->Call(client, site_node(0), m_red_op_, std::move(req),
-             options_.rpc_timeout, [done](Result<sim::Payload> r) {
+             kRpcTimeout, [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
                } else {

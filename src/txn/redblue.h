@@ -26,10 +26,6 @@
 
 namespace evc::txn {
 
-struct RedBlueOptions {
-  sim::Time rpc_timeout = 2 * sim::kSecond;
-};
-
 struct RedBlueStats {
   uint64_t blue_ops = 0;
   uint64_t red_ops = 0;
@@ -41,7 +37,7 @@ struct RedBlueStats {
 class RedBlueBank {
  public:
   /// `rpc` must outlive the bank. Site 0 hosts the red-op sequencer.
-  RedBlueBank(sim::Rpc* rpc, int site_count, RedBlueOptions options = {});
+  RedBlueBank(sim::Rpc* rpc, int site_count);
 
   size_t site_count() const { return sites_.size(); }
   sim::NodeId site_node(int index) const;
@@ -103,7 +99,6 @@ class RedBlueBank {
   sim::MethodId m_local_op_ = 0;
   sim::MethodId m_red_op_ = 0;
   sim::MsgType t_delta_ = 0;
-  RedBlueOptions options_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::map<sim::NodeId, Site*> by_node_;
   RedBlueStats stats_;

@@ -587,7 +587,7 @@ class ElasticActuator : public sim::MembershipActuator {
   }
   std::vector<sim::NodeId> RemovableNodes() override {
     std::vector<sim::NodeId> members = cluster_->CommittedMembers();
-    if (static_cast<int>(members.size()) <= cluster_->config().min_members) {
+    if (static_cast<int>(members.size()) <= repl::kMinElasticMembers) {
       return {};
     }
     return members;

@@ -2,6 +2,13 @@
 
 namespace evc::workload {
 
+namespace {
+/// Skew of the zipfian and latest key distributions (the YCSB default).
+constexpr double kZipfTheta = 0.99;
+/// Record `i` is keyed kKeyPrefix + decimal(i).
+constexpr char kKeyPrefix[] = "user";
+}  // namespace
+
 const char* OpTypeToString(OpType type) {
   switch (type) {
     case OpType::kRead:
@@ -68,20 +75,16 @@ std::unique_ptr<KeyDistribution> WorkloadGenerator::MakeDistribution() const {
       return std::make_unique<UniformDistribution>(config_.record_count);
     case KeyDistributionKind::kZipfian:
       return std::make_unique<ScrambledZipfianDistribution>(
-          config_.record_count, config_.zipf_theta);
+          config_.record_count, kZipfTheta);
     case KeyDistributionKind::kLatest:
       return std::make_unique<LatestDistribution>(config_.record_count,
-                                                  config_.zipf_theta);
-    case KeyDistributionKind::kHotspot:
-      return std::make_unique<HotspotDistribution>(
-          config_.record_count, config_.hotspot_set_fraction,
-          config_.hotspot_draw_fraction);
+                                                  kZipfTheta);
   }
   return nullptr;
 }
 
 std::string WorkloadGenerator::KeyFor(uint64_t index) const {
-  return config_.key_prefix + std::to_string(index);
+  return kKeyPrefix + std::to_string(index);
 }
 
 std::string WorkloadGenerator::ValueFor(const std::string& key) {

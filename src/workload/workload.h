@@ -4,7 +4,7 @@
 // systems surveyed by the tutorial were evaluated with: a keyspace of
 // `record_count` records, an operation mix (read / update / insert /
 // read-modify-write), and a key-popularity distribution (uniform, Zipfian,
-// latest, hotspot). Presets mirror the standard YCSB core workloads A-D/F.
+// latest). Presets mirror the standard YCSB core workloads A-D/F.
 
 #ifndef EVC_WORKLOAD_WORKLOAD_H_
 #define EVC_WORKLOAD_WORKLOAD_H_
@@ -44,7 +44,6 @@ enum class KeyDistributionKind {
   kUniform,
   kZipfian,
   kLatest,
-  kHotspot,
 };
 
 struct WorkloadConfig {
@@ -54,11 +53,7 @@ struct WorkloadConfig {
   double insert_proportion = 0.0;
   double rmw_proportion = 0.0;
   KeyDistributionKind distribution = KeyDistributionKind::kZipfian;
-  double zipf_theta = 0.99;
-  double hotspot_set_fraction = 0.2;
-  double hotspot_draw_fraction = 0.8;
   size_t value_size = 100;
-  std::string key_prefix = "user";
 
   /// Standard YCSB presets.
   static WorkloadConfig YcsbA();  ///< 50/50 read/update, zipfian

@@ -91,24 +91,6 @@ TEST(LatestDistributionTest, AdvanceShiftsHead) {
   for (int i = 0; i < 10000; ++i) EXPECT_LT(dist.Next(rng), 11u);
 }
 
-TEST(HotspotDistributionTest, HotSetGetsConfiguredFraction) {
-  HotspotDistribution dist(1000, /*hot_set_fraction=*/0.1,
-                           /*hot_draw_fraction=*/0.9);
-  Rng rng(10);
-  int hot = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (dist.Next(rng) < 100) ++hot;
-  }
-  EXPECT_NEAR(static_cast<double>(hot) / n, 0.9, 0.02);
-}
-
-TEST(HotspotDistributionTest, DegenerateAllHot) {
-  HotspotDistribution dist(10, 1.0, 0.5);
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(dist.Next(rng), 10u);
-}
-
 // Property sweep: every distribution respects its domain for many sizes.
 class DistributionDomainTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -120,7 +102,6 @@ TEST_P(DistributionDomainTest, AllDistributionsStayInDomain) {
   dists.push_back(std::make_unique<ZipfianDistribution>(n, 0.99));
   dists.push_back(std::make_unique<ScrambledZipfianDistribution>(n, 0.7));
   dists.push_back(std::make_unique<LatestDistribution>(n));
-  dists.push_back(std::make_unique<HotspotDistribution>(n, 0.2, 0.8));
   for (auto& d : dists) {
     EXPECT_EQ(d->item_count(), n);
     for (int i = 0; i < 2000; ++i) {

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "sim/nemesis.h"
 
@@ -172,6 +173,44 @@ TEST_F(EdgeCacheTest, UnreachableHolderIsWaitedOutNotServedAround) {
   ASSERT_TRUE(read.ok());
   EXPECT_FALSE(read->from_cache);
   EXPECT_EQ(read->value, "v2");
+}
+
+// The gate keeps at most kMaxRevokeFanout revokes in flight per write. With
+// every holder partitioned, each revoke hangs until its lease expires, so
+// the first wave holds the bound for the whole TTL and the rest are sent
+// only as that wave drains.
+TEST_F(EdgeCacheTest, RevokeFanOutStaysBoundedWhileHoldersHang) {
+  Build();
+  ASSERT_TRUE(PutSync(b_, "k", "v1").ok());
+  constexpr int kHolders = 12;
+  static_assert(kHolders > kMaxRevokeFanout);
+  std::vector<EdgeCacheClient*> holders;
+  int granted = 0;
+  const sim::Time reads_issued_at = sim_->Now();
+  for (int i = 0; i < kHolders; ++i) {
+    holders.push_back(tier_->AddClient(net_->AddNode()));
+    holders.back()->Get("k", 0, [&](Result<CachedRead> r) {
+      if (r.ok() && !r->from_cache) ++granted;
+    });
+  }
+  sim_->RunFor(50 * kMillisecond);
+  ASSERT_EQ(granted, kHolders);
+  ASSERT_EQ(tier_->stats().grants, static_cast<uint64_t>(kHolders));
+  // Every lease was granted after the reads were issued.
+  const sim::Time first_expiry = reads_issued_at + kTtl;
+  for (EdgeCacheClient* h : holders) net_->SetNodeUp(h->node(), false);
+
+  std::optional<Result<uint64_t>> put;
+  b_->Put("k", "v2", [&](Result<uint64_t> r) { put = std::move(r); });
+  sim_->RunFor(150 * kMillisecond);
+  ASSERT_LT(sim_->Now(), first_expiry);
+  EXPECT_FALSE(put.has_value());
+  EXPECT_EQ(tier_->stats().revokes_sent,
+            static_cast<uint64_t>(kMaxRevokeFanout));
+
+  ASSERT_TRUE(AwaitOp(&put, 3 * kSecond).ok());
+  EXPECT_GE(sim_->Now(), first_expiry);
+  EXPECT_EQ(tier_->stats().revokes_sent, static_cast<uint64_t>(kHolders));
 }
 
 TEST_F(EdgeCacheTest, MasterCrashFencesWritesForOneTtl) {

@@ -148,8 +148,8 @@ TEST(OverloadPriorityTest, BackgroundShedsFirstAndClientP99StaysBounded) {
 
 // Hint delivery is background work: a holder that has just heard a loaded
 // reply from the intended home (its admission queue past
-// background_yield_load) holds the batch instead of adding to the queue,
-// and delivers it once that load signal has aged out.
+// sim::Rpc::kBackgroundYieldLoad) holds the batch instead of adding to the
+// queue, and delivers it once that load signal has aged out.
 TEST(OverloadPriorityTest, HintsWaitOutTheirDestinationsLoadThenDrain) {
   sim::Simulator sim(7);
   sim::Network net(&sim,
@@ -208,13 +208,13 @@ TEST(OverloadPriorityTest, HintsWaitOutTheirDestinationsLoadThenDrain) {
   }
   sim.RunFor(100 * kMillisecond);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_GE(rpc.PeerLoad(servers[i], victim), config.background_yield_load);
+    EXPECT_GE(rpc.PeerLoad(servers[i], victim), sim::Rpc::kBackgroundYieldLoad);
   }
 
   cluster.StartHintDelivery(25 * kMillisecond);
   sim.RunFor(30 * kMillisecond);
   EXPECT_GE(cluster.admission(victim)->LoadPercent(),
-            config.background_yield_load);
+            sim::Rpc::kBackgroundYieldLoad);
   EXPECT_GT(cluster.stats().hints_deferred, 0u);
   EXPECT_EQ(cluster.stats().hints_delivered, 0u);
   EXPECT_EQ(cluster.pending_hints(), hints_parked);

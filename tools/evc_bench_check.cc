@@ -17,6 +17,7 @@
 //     columns.size() scalar cells (bool / number / string);
 //   * sim (optional) is an object.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,7 +35,9 @@ struct Floor {
   bool seen = false;  ///< found in at least one validated file
 };
 
-/// Parses "--floor=<metric>=<min>". Returns false on malformed input.
+/// Parses "--floor=<metric>=<min>". Returns false on malformed input,
+/// including a <min> that is not finite: no value is below a NaN floor, so
+/// nan (or an overflow to inf) would turn the gate off.
 bool ParseFloor(const std::string& arg, Floor* out) {
   const std::string body = arg.substr(8);  // past "--floor="
   const size_t eq = body.rfind('=');
@@ -44,7 +47,7 @@ bool ParseFloor(const std::string& arg, Floor* out) {
   out->metric = body.substr(0, eq);
   char* end = nullptr;
   out->min = std::strtod(body.c_str() + eq + 1, &end);
-  return end != nullptr && *end == '\0';
+  return end != nullptr && *end == '\0' && std::isfinite(out->min);
 }
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
