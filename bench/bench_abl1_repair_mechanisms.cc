@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "harness.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 
 using namespace evc;
@@ -44,12 +43,7 @@ AblationResult Run(bool hints, bool read_repair, bool anti_entropy,
   auto servers = cluster.AddServers(5);
   const sim::NodeId client = net.AddNode();
 
-  std::vector<ReplicaStorage*> storages;
-  for (const auto s : servers) storages.push_back(cluster.storage(s));
-  repl::AntiEntropyOptions ae_options;
-  ae_options.interval = 250 * kMillisecond;
-  repl::AntiEntropy ae(&net, servers, storages, ae_options);
-  if (anti_entropy) ae.Start();
+  if (anti_entropy) cluster.StartAntiEntropy(250 * kMillisecond);
   if (hints) cluster.StartHintDelivery(250 * kMillisecond);
 
   // The victim replica serves key "hot" and crashes before the writes.

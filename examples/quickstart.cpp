@@ -7,9 +7,11 @@
 // evc::core::ReplicatedStore.
 //
 //   $ ./examples/quickstart
+//
+// Exits 1 if any operation fails or does not complete.
 
+#include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "core/replicated_store.h"
@@ -23,7 +25,8 @@ using evc::sim::kSecond;
 
 namespace {
 
-void RunLevel(ConsistencyLevel level) {
+// Returns false if any operation failed or did not complete.
+bool RunLevel(ConsistencyLevel level) {
   StoreOptions options;
   options.level = level;
   options.datacenters = 3;  // US-East, EU, Asia
@@ -34,6 +37,7 @@ void RunLevel(ConsistencyLevel level) {
   const evc::sim::NodeId client = store.AddClient(1);
 
   // A tiny read-your-own-profile workload.
+  bool all_completed = true;
   for (int i = 0; i < 20; ++i) {
     const std::string key = "profile:" + std::to_string(i % 5);
     bool put_done = false;
@@ -45,21 +49,27 @@ void RunLevel(ConsistencyLevel level) {
                 }
               });
     store.RunFor(5 * kSecond);
-    if (!put_done) std::printf("    put did not complete!\n");
+    if (!put_done) {
+      std::printf("    put did not complete!\n");
+      all_completed = false;
+    }
 
-    std::optional<std::string> value;
-    store.Get(client, key, [&](evc::Result<std::string> r) {
-      if (r.ok()) value = *r;
-    });
+    bool get_done = false;
+    store.Get(client, key, [&](evc::Result<std::string>) { get_done = true; });
     store.RunFor(5 * kSecond);
+    if (!get_done) {
+      std::printf("    get did not complete!\n");
+      all_completed = false;
+    }
   }
 
+  const uint64_t failures = store.puts_failed() + store.gets_failed();
   std::printf("  %-9s | put p50 %8.2f ms | get p50 %8.2f ms | failures %llu\n",
               ConsistencyLevelToString(level),
               store.put_latency().Percentile(0.5) / kMillisecond,
               store.get_latency().Percentile(0.5) / kMillisecond,
-              static_cast<unsigned long long>(store.puts_failed() +
-                                              store.gets_failed()));
+              static_cast<unsigned long long>(failures));
+  return all_completed && failures == 0;
 }
 
 }  // namespace
@@ -70,15 +80,17 @@ int main() {
       "client in the EU datacenter; 3 geo-replicated datacenters\n\n");
   std::printf("  level     | write latency      | read latency       |\n");
   std::printf("  ----------+--------------------+--------------------+\n");
-  RunLevel(ConsistencyLevel::kEventual);
-  RunLevel(ConsistencyLevel::kQuorum);
-  RunLevel(ConsistencyLevel::kCausal);
-  RunLevel(ConsistencyLevel::kTimeline);
-  RunLevel(ConsistencyLevel::kStrong);
+  bool ok = true;
+  for (ConsistencyLevel level :
+       {ConsistencyLevel::kEventual, ConsistencyLevel::kQuorum,
+        ConsistencyLevel::kCausal, ConsistencyLevel::kTimeline,
+        ConsistencyLevel::kStrong}) {
+    ok &= RunLevel(level);
+  }
   std::printf(
       "\nReading the table: eventual and causal complete in the local DC;\n"
       "quorum pays a WAN round trip; timeline writes go to the record's\n"
       "master; strong (Paxos) pays a consensus round from the leader's DC.\n"
       "That spread IS the tutorial's latency/consistency tradeoff.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -5,7 +5,6 @@
 #include "causal/causal_store.h"
 #include "clock/version_vector.h"
 #include "consensus/paxos.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 #include "replication/timeline_store.h"
 
@@ -43,7 +42,6 @@ struct ReplicatedStore::Impl {
   // are indexed by datacenter (one server each), so a client's local-first
   // coordinator is servers[client dc].
   std::unique_ptr<repl::DynamoCluster> dynamo;
-  std::unique_ptr<repl::AntiEntropy> anti_entropy;
   std::vector<sim::NodeId> dynamo_servers;
 
   std::unique_ptr<consensus::PaxosCluster> paxos;
@@ -94,15 +92,7 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
         impl_->dynamo_servers.push_back(node);
       }
       // Anti-entropy keeps eventual replicas converging in the background.
-      std::vector<ReplicaStorage*> storages;
-      for (const sim::NodeId node : impl_->dynamo_servers) {
-        storages.push_back(impl_->dynamo->storage(node));
-      }
-      repl::AntiEntropyOptions ae;
-      ae.interval = 500 * sim::kMillisecond;
-      impl_->anti_entropy = std::make_unique<repl::AntiEntropy>(
-          net_.get(), impl_->dynamo_servers, storages, ae);
-      impl_->anti_entropy->Start();
+      impl_->dynamo->StartAntiEntropy(500 * sim::kMillisecond);
       impl_->dynamo->StartHintDelivery(500 * sim::kMillisecond);
       break;
     }

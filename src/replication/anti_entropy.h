@@ -25,13 +25,15 @@ struct AntiEntropyOptions {
   sim::Time interval = 100 * sim::kMillisecond;  ///< gossip round period
   int fanout = 1;          ///< peers contacted per round
   bool push_pull = true;   ///< false = push only (slower convergence)
-  /// Optional liveness filter for gossip peer selection (e.g. a node's
-  /// phi-accrual verdict via DynamoCluster::PeerUsable). A round re-draws a
-  /// few times past unusable peers rather than wasting its fanout on a
-  /// suspect; unset = every peer is eligible (the seed behavior).
+  /// Optional liveness filter for gossip peer selection
+  /// (DynamoCluster::StartAntiEntropy installs DynamoCluster::PeerUsable,
+  /// the node's phi-accrual verdict). A round re-draws a few times past
+  /// unusable peers rather than wasting its fanout on a suspect; unset =
+  /// every peer is eligible (the seed behavior).
   std::function<bool(sim::NodeId self, sim::NodeId peer)> peer_usable;
-  /// Optional load oracle (e.g. sim::Rpc::PeerLoad over the piggybacked
-  /// reply signal): peers reporting at least sim::Rpc::kBackgroundYieldLoad
+  /// Optional load oracle (DynamoCluster::StartAntiEntropy installs
+  /// sim::Rpc::PeerLoad, the piggybacked reply signal, when admission is
+  /// on): peers reporting at least sim::Rpc::kBackgroundYieldLoad
   /// percent are skipped this round (counted in peers_yielded).
   /// Anti-entropy is the definition of deferrable work — syncing an
   /// overloaded peer later is free; syncing it now deepens its queue.
@@ -49,7 +51,8 @@ struct AntiEntropyStats {
 };
 
 /// Runs anti-entropy among a fixed membership of replicas. Each replica's
-/// storage is owned by the caller (e.g. a DynamoCluster).
+/// storage is owned by the caller (DynamoCluster::StartAntiEntropy builds
+/// one over the cluster's servers).
 class AntiEntropy {
  public:
   /// `nodes[i]` is the network id whose storage is `storages[i]`. All

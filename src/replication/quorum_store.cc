@@ -171,7 +171,7 @@ bool DynamoCluster::TargetUsable(Server* coordinator,
 }
 
 bool DynamoCluster::PeerUsable(sim::NodeId server, sim::NodeId peer) const {
-  if (config_.use_oracle_detector) return true;
+  if (!failure_detection_) return true;
   auto it = by_node_.find(server);
   if (it == by_node_.end()) return true;
   return it->second->resilient->PeerUsable(peer);
@@ -179,10 +179,35 @@ bool DynamoCluster::PeerUsable(sim::NodeId server, sim::NodeId peer) const {
 
 void DynamoCluster::StartFailureDetection() {
   if (config_.use_oracle_detector) return;
+  failure_detection_ = true;
   std::vector<sim::NodeId> nodes;
   nodes.reserve(servers_.size());
   for (const auto& server : servers_) nodes.push_back(server->node);
   for (auto& server : servers_) server->resilient->StartHeartbeats(nodes);
+}
+
+void DynamoCluster::StartAntiEntropy(sim::Time interval) {
+  EVC_CHECK(anti_entropy_ == nullptr);
+  std::vector<sim::NodeId> nodes;
+  std::vector<ReplicaStorage*> storages;
+  for (const auto& server : servers_) {
+    nodes.push_back(server->node);
+    storages.push_back(server->storage.get());
+  }
+  AntiEntropyOptions options;
+  options.interval = interval;
+  options.peer_usable = [this](sim::NodeId self, sim::NodeId peer) {
+    return PeerUsable(self, peer);
+  };
+  if (config_.admission_enabled) {
+    options.load_of = [this](sim::NodeId self, sim::NodeId peer) {
+      return rpc_->PeerLoad(self, peer);
+    };
+  }
+  anti_entropy_ = std::make_unique<AntiEntropy>(
+      rpc_->network(), std::move(nodes), std::move(storages),
+      std::move(options));
+  anti_entropy_->Start();
 }
 
 resilience::ResilientRpc* DynamoCluster::ClientRpc(sim::NodeId client) {
@@ -960,9 +985,16 @@ void DynamoCluster::ApplyView(
       server->migration.reset();  // that epoch is settled
     }
     RedirectHints(server);
-    if (commit_cb_ && committed.epoch > announced_epoch_) {
+    if (committed.epoch > announced_epoch_) {
       announced_epoch_ = committed.epoch;
-      commit_cb_(committed);
+      if (anti_entropy_ != nullptr) {
+        for (const auto& other : servers_) {
+          if (!committed.Contains(other->node)) {
+            anti_entropy_->MarkDeparted(other->node);
+          }
+        }
+      }
+      if (commit_cb_) commit_cb_(committed);
     }
   } else if (committed.epoch == server->epoch) {
     // A same-epoch confirmation is what ends a restarted server's
@@ -1201,8 +1233,8 @@ Result<sim::NodeId> DynamoCluster::AddServerLive(
     for (const auto& s : servers_) nodes.push_back(s->node);
     server->resilient->StartHeartbeats(nodes);
   }
-  if (server_created_cb_) {
-    server_created_cb_(server->node, server->storage.get());
+  if (anti_entropy_ != nullptr) {
+    anti_entropy_->AddMember(server->node, server->storage.get());
   }
   RefreshView(server);
   const sim::NodeId node = server->node;

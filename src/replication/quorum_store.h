@@ -27,6 +27,7 @@
 #include "common/interner.h"
 #include "membership/config_service.h"
 #include "obs/metrics.h"
+#include "replication/anti_entropy.h"
 #include "replication/hash_ring.h"
 #include "resilience/admission.h"
 #include "resilience/resilient_rpc.h"
@@ -159,18 +160,12 @@ class DynamoCluster : private sim::CrashParticipant {
   /// flight.
   bool Migrating() const;
 
-  /// Fired once per committed epoch the cluster learns of (harnesses wire
-  /// anti-entropy departures and routing updates here).
+  /// Fired once per committed epoch the cluster learns of, after the
+  /// cluster's own anti-entropy has marked the epoch's departures
+  /// (harnesses count epochs here).
   using CommitCallback =
       std::function<void(const membership::MembershipView&)>;
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
-  /// Fired when AddServerLive creates a server (harnesses wire the new
-  /// node into anti-entropy before any data moves).
-  using ServerCreatedCallback =
-      std::function<void(sim::NodeId, ReplicaStorage*)>;
-  void SetServerCreatedCallback(ServerCreatedCallback cb) {
-    server_created_cb_ = std::move(cb);
-  }
 
   size_t server_count() const { return servers_.size(); }
   const QuorumConfig& config() const { return config_; }
@@ -201,9 +196,21 @@ class DynamoCluster : private sim::CrashParticipant {
   /// oracle mode (the oracle needs no evidence). Call after AddServers.
   void StartFailureDetection();
 
+  /// Starts epidemic anti-entropy (Merkle gossip, one round per server per
+  /// `interval`) among the cluster's servers. Call once, after AddServers.
+  /// Gossip follows live membership: a server AddServerLive creates joins
+  /// the mesh before any data moves, and a server left out of a committed
+  /// epoch is marked departed. Peer draws skip peers the server's detector
+  /// distrusts once StartFailureDetection has run, and yield to loaded
+  /// peers (Rpc::PeerLoad) when admission_enabled is set.
+  void StartAntiEntropy(sim::Time interval);
+  /// The cluster's anti-entropy (null until StartAntiEntropy).
+  const AntiEntropy* anti_entropy() const { return anti_entropy_.get(); }
+
   /// `server`'s client-side liveness verdict on `peer`: detector + breaker
-  /// in detector mode, always true in oracle mode (callers that want the
-  /// oracle ask the Network directly). Used by anti-entropy peer selection.
+  /// once StartFailureDetection has run, otherwise always true (so always
+  /// true in oracle mode; callers that want the oracle ask the Network
+  /// directly). Anti-entropy peer selection consults it.
   bool PeerUsable(sim::NodeId server, sim::NodeId peer) const;
 
   /// Resilience layer of a server (for assertions on detector state).
@@ -212,7 +219,7 @@ class DynamoCluster : private sim::CrashParticipant {
   /// Admission gate of a server (null unless admission_enabled).
   resilience::AdmissionQueue* admission(sim::NodeId server);
 
-  /// Storage engine of a server (for assertions / anti-entropy wiring).
+  /// Storage engine of a server (for assertions).
   ReplicaStorage* storage(sim::NodeId server);
   const DynamoStats& stats() const { return stats_; }
 
@@ -410,9 +417,10 @@ class DynamoCluster : private sim::CrashParticipant {
   // Elastic membership (null/empty for static clusters).
   membership::ConfigService* config_service_ = nullptr;
   sim::Time hint_interval_ = 0;   // remembered for live-added servers
-  uint64_t announced_epoch_ = 0;  // highest epoch surfaced via commit_cb_
+  uint64_t announced_epoch_ = 0;  // highest epoch ApplyView announced
   CommitCallback commit_cb_;
-  ServerCreatedCallback server_created_cb_;
+  bool failure_detection_ = false;  // StartFailureDetection armed heartbeats
+  std::unique_ptr<AntiEntropy> anti_entropy_;
   // Per-epoch placement caches, all pure functions of the epoch's sorted
   // member list: member sets, vnode rings, and interned-key full walks.
   mutable std::map<uint64_t, std::vector<sim::NodeId>> members_of_epoch_;

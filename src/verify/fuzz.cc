@@ -18,7 +18,6 @@
 #include "membership/config_service.h"
 #include "crdt/gcounter.h"
 #include "crdt/orset.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 #include "replication/timeline_store.h"
 #include "sim/latency.h"
@@ -641,46 +640,11 @@ FuzzReport RunQuorum(const FuzzOptions& o) {
   cluster.StartHintDelivery(500 * kMillisecond);
   cluster.StartFailureDetection();  // no-op in oracle mode
 
-  std::vector<ReplicaStorage*> storages;
-  for (sim::NodeId srv : servers) storages.push_back(cluster.storage(srv));
-  repl::AntiEntropyOptions ae_options;
-  ae_options.interval = 250 * kMillisecond;
-  if (!o.use_oracle_detector) {
-    // Route gossip peer selection through each node's own detector verdict.
-    ae_options.peer_usable = [&cluster](sim::NodeId self, sim::NodeId peer) {
-      return cluster.PeerUsable(self, peer);
-    };
-  }
-  if (o.overload) {
-    // Gossip yields to peers advertising load (piggybacked on replies).
-    ae_options.load_of = [&s](sim::NodeId self, sim::NodeId peer) {
-      return s.rpc.PeerLoad(self, peer);
-    };
-  }
-  repl::AntiEntropy ae(&s.net, servers, storages, ae_options);
-  ae.Start();
+  cluster.StartAntiEntropy(250 * kMillisecond);
 
-  std::set<sim::NodeId> gossiping(servers.begin(), servers.end());
   if (elastic) {
-    // Membership wiring: a live-joined server starts gossiping before any
-    // data moves; a committed removal marks the node departed so peer draws
-    // skip it.
-    cluster.SetServerCreatedCallback(
-        [&](sim::NodeId node, ReplicaStorage* storage) {
-          ae.AddMember(node, storage);
-          gossiping.insert(node);
-        });
-    cluster.SetCommitCallback([&](const membership::MembershipView& view) {
-      ++rep.epochs_committed;
-      for (auto it = gossiping.begin(); it != gossiping.end();) {
-        if (view.Contains(*it)) {
-          ++it;
-        } else {
-          ae.MarkDeparted(*it);
-          it = gossiping.erase(it);
-        }
-      }
-    });
+    cluster.SetCommitCallback(
+        [&](const membership::MembershipView&) { ++rep.epochs_committed; });
 
     // Bootstrap epoch 1 with the initial server set, then hand the cluster
     // its view-driven membership.
@@ -756,9 +720,10 @@ FuzzReport RunQuorum(const FuzzOptions& o) {
   driver.Quiesce([&] {
     if (elastic) {
       return !cluster.Migrating() && cluster.pending_hints() == 0 &&
-             ae.Converged();
+             cluster.anti_entropy()->Converged();
     }
-    return ae.Converged() && cluster.pending_hints() == 0;
+    return cluster.anti_entropy()->Converged() &&
+           cluster.pending_hints() == 0;
   });
 
   // Final state: anti-entropy replicates every key to every server, so all
