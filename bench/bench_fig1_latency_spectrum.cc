@@ -5,13 +5,16 @@
 // intra-DC latency; quorum protocols pay one WAN round trip; primary-copy
 // writes pay the trip to the master; consensus pays a full WAN consensus
 // round. The *ratios* (~1-2 orders of magnitude between the ends of the
-// dial) are the reproduction target, not absolute numbers.
+// dial) are the reproduction target, not absolute numbers. The gated
+// metric strong_over_eventual_put_p50 is the fastest strong put p50 over
+// the client datacenters divided by the slowest eventual put p50.
 //
 // Setup: 3-datacenter WAN (US-East, EU, Asia), one storage server per DC,
 // a closed-loop YCSB-B client in each DC, 200 ops per (level, client-DC).
 
+#include <algorithm>
 #include <cstdio>
-#include <optional>
+#include <limits>
 
 #include "core/replicated_store.h"
 #include "harness.h"
@@ -96,9 +99,16 @@ int main() {
       ConsistencyLevel::kTimeline, ConsistencyLevel::kQuorum,
       ConsistencyLevel::kStrong};
   const char* dc_names[] = {"US-East", "EU", "Asia"};
+  double min_strong_put_p50 = std::numeric_limits<double>::infinity();
+  double max_eventual_put_p50 = 0;
   for (const ConsistencyLevel level : levels) {
     for (int dc = 0; dc < 3; ++dc) {
       const Row row = RunCell(level, dc);
+      if (level == ConsistencyLevel::kStrong) {
+        min_strong_put_p50 = std::min(min_strong_put_p50, row.put_p50);
+      } else if (level == ConsistencyLevel::kEventual) {
+        max_eventual_put_p50 = std::max(max_eventual_put_p50, row.put_p50);
+      }
       std::printf("%-9s %-8s | %10.2f %10.2f | %10.2f %10.2f | %llu\n",
                   ConsistencyLevelToString(level), dc_names[dc],
                   row.put_p50 / kMillisecond, row.put_p99 / kMillisecond,
@@ -114,7 +124,12 @@ int main() {
                    obs::Json(row.failures)});
     }
   }
+  const double strong_over_eventual = min_strong_put_p50 / max_eventual_put_p50;
+  harness.Metric("strong_over_eventual_put_p50", strong_over_eventual);
   EVC_CHECK_OK(harness.Write());
+  std::printf("\nstrong/eventual put p50 (fastest strong DC over slowest "
+              "eventual DC): %.1fx\n",
+              strong_over_eventual);
   std::printf(
       "\nExpected shape: eventual/causal ~ sub-ms to low ms everywhere;\n"
       "quorum ~ one WAN RTT; timeline writes depend on distance to the\n"
