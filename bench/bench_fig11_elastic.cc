@@ -73,7 +73,6 @@ int main() {
   cfg.write_quorum = 2;
   cfg.sloppy = false;
   cfg.read_repair = true;
-  cfg.use_hash_ring = true;
   repl::DynamoCluster cluster(&rpc, cfg);
   const std::vector<sim::NodeId> servers = cluster.AddServers(kInitialServers);
   cluster.StartHintDelivery(500 * kMillisecond);

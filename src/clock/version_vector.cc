@@ -18,20 +18,6 @@ auto LowerBound(Entries& entries, uint32_t replica) {
 
 }  // namespace
 
-const char* CausalOrderToString(CausalOrder order) {
-  switch (order) {
-    case CausalOrder::kEqual:
-      return "Equal";
-    case CausalOrder::kBefore:
-      return "Before";
-    case CausalOrder::kAfter:
-      return "After";
-    case CausalOrder::kConcurrent:
-      return "Concurrent";
-  }
-  return "Unknown";
-}
-
 uint64_t VersionVector::Get(uint32_t replica) const {
   auto it = LowerBound(entries_, replica);
   return it != entries_.end() && it->first == replica ? it->second : 0;

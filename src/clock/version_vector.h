@@ -26,8 +26,6 @@ enum class CausalOrder {
   kConcurrent,  ///< neither dominates: conflicting / concurrent versions
 };
 
-const char* CausalOrderToString(CausalOrder order);
-
 /// Map from replica id to update counter. Absent entries are zero. Stored as
 /// a flat vector of (replica, counter) pairs sorted by replica with no zero
 /// counters: vectors hold a handful of replicas, so a contiguous scan beats a

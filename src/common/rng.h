@@ -102,11 +102,6 @@ class Rng {
     return mean + stddev * z;
   }
 
-  /// Log-normal sample parameterized by the underlying normal's mu/sigma.
-  double NextLogNormal(double mu, double sigma) {
-    return std::exp(NextGaussian(mu, sigma));
-  }
-
   /// Forks an independent child generator whose stream is a pure function of
   /// this generator's current state and `stream_id`. Used to give each
   /// simulated node its own stream without cross-coupling.

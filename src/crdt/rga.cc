@@ -106,14 +106,6 @@ void Rga::MergeFrom(const Rga& other) {
   EVC_CHECK(pending.empty());
 }
 
-std::vector<std::string> Rga::Materialize() const {
-  std::vector<std::string> out;
-  for (const auto& node : nodes_) {
-    if (!node.tombstone) out.push_back(node.value);
-  }
-  return out;
-}
-
 std::string Rga::Text() const {
   std::string out;
   for (const auto& node : nodes_) {

@@ -59,8 +59,6 @@ class Rga {
   /// True if the element exists and is live.
   bool Contains(RgaId id) const;
 
-  /// The live sequence.
-  std::vector<std::string> Materialize() const;
   /// Live values concatenated (for text editing tests).
   std::string Text() const;
   /// Id of the i-th live element.

@@ -39,9 +39,6 @@ class Json {
   Json(Array a) : type_(Type::kArray), array_(std::move(a)) {}
   Json(Object o) : type_(Type::kObject), object_(std::move(o)) {}
 
-  static Json MakeArray() { return Json(Array{}); }
-  static Json MakeObject() { return Json(Object{}); }
-
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
   bool is_bool() const { return type_ == Type::kBool; }
@@ -53,7 +50,6 @@ class Json {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  bool AsBool() const { return bool_; }
   int64_t AsInt() const {
     return type_ == Type::kDouble ? static_cast<int64_t>(double_) : int_;
   }

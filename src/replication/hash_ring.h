@@ -1,9 +1,9 @@
 // Consistent hashing with virtual nodes (Dynamo's partitioning scheme).
 //
-// The naive "hash(key) mod n" placement the simple preference list uses has
-// two classic problems the tutorial's partitioning discussion calls out:
-// adding a server remaps nearly every key, and per-server load varies
-// widely. A consistent-hash ring fixes remapping (only ~1/n of keys move)
+// The naive "hash(key) mod n" placement a static DynamoCluster uses (its
+// epoch 0) has two classic problems the tutorial's partitioning discussion
+// calls out: adding a server remaps nearly every key, and per-server load
+// varies widely. A consistent-hash ring fixes remapping (only ~1/n of keys move)
 // and virtual nodes fix balance (each server appears at `vnodes` positions,
 // smoothing the arc lengths). Ablation 3 measures both effects.
 

@@ -28,7 +28,7 @@ constexpr sim::Time kMigrateRetryPause = 500 * sim::kMillisecond;
 constexpr sim::Time kRpcTimeout = 250 * sim::kMillisecond;
 // Overall deadline of a client op, in kRpcTimeout multiples.
 constexpr int kClientDeadlineBudget = 4;
-// Virtual nodes per server when placement uses the consistent-hash ring.
+// Virtual nodes per server on an elastic epoch's consistent-hash ring.
 constexpr int kRingVnodes = 64;
 // Elastic mode: period of each server's view-refresh pull from the config
 // service (push broadcasts cover the common case; the pull covers servers
@@ -45,10 +45,24 @@ bool Contains(const std::vector<sim::NodeId>& nodes, sim::NodeId node) {
 uint64_t ResilienceSeed(sim::NodeId node) {
   return 0xd06f00dULL ^ (uint64_t{node} + 1) * 0x9e3779b97f4a7c15ULL;
 }
+
+// One fan-out leg: quorum legs, hint handoffs and redirects. Outcomes feed
+// the sender's detector/breaker (as every attempt outcome does) in both
+// modes; a single attempt that neither the breaker nor the retry budget or
+// AIMD limit holds back: the quorum math already tolerates missing acks,
+// the targets skipped unusable peers up front, and starving legs would turn
+// overload into quorum loss.
+resilience::CallOptions FanOutLeg() {
+  resilience::CallOptions leg;
+  leg.attempt_timeout = kRpcTimeout;
+  leg.max_attempts = 1;
+  leg.respect_limits = false;
+  return leg;
+}
 }  // namespace
 
 DynamoCluster::DynamoCluster(sim::Rpc* rpc, QuorumConfig config)
-    : rpc_(rpc), config_(config), ring_(kRingVnodes) {
+    : rpc_(rpc), config_(config) {
   EVC_CHECK(rpc_ != nullptr);
   m_client_put_ = rpc_->InternMethod(kClientPut);
   m_client_get_ = rpc_->InternMethod(kClientGet);
@@ -65,14 +79,9 @@ DynamoCluster::DynamoCluster(sim::Rpc* rpc, QuorumConfig config)
 
 DynamoCluster::~DynamoCluster() = default;
 
-DynamoCluster::Server* DynamoCluster::CreateServer(bool on_static_ring) {
+DynamoCluster::Server* DynamoCluster::CreateServer() {
   auto server = std::make_unique<Server>();
   server->node = rpc_->network()->AddNode();
-  if (on_static_ring) {
-    ring_.AddServer(server->node);
-    // Membership changed: every cached static ring walk is stale.
-    for (auto& walk : walk_of_key_) walk.clear();
-  }
   server->replica_id = static_cast<uint32_t>(servers_.size());
   server->storage = std::make_unique<ReplicaStorage>(server->replica_id,
                                                      config_.storage);
@@ -124,7 +133,11 @@ sim::NodeId DynamoCluster::AddServer() {
   // Static membership only: once elastic, joins go through the config
   // service so every node agrees on the epoch the change happens in.
   EVC_CHECK(config_service_ == nullptr);
-  return CreateServer(/*on_static_ring=*/true)->node;
+  const sim::NodeId node = CreateServer()->node;
+  EpochPlacement& epoch0 = placement_of_epoch_[0];
+  epoch0.members.push_back(node);
+  epoch0.walks.clear();  // membership changed: every cached walk is stale
+  return node;
 }
 
 std::vector<sim::NodeId> DynamoCluster::AddServers(int count) {
@@ -180,10 +193,14 @@ bool DynamoCluster::PeerUsable(sim::NodeId server, sim::NodeId peer) const {
 void DynamoCluster::StartFailureDetection() {
   if (config_.use_oracle_detector) return;
   failure_detection_ = true;
+  for (auto& server : servers_) StartHeartbeats(server.get());
+}
+
+void DynamoCluster::StartHeartbeats(Server* server) {
   std::vector<sim::NodeId> nodes;
   nodes.reserve(servers_.size());
-  for (const auto& server : servers_) nodes.push_back(server->node);
-  for (auto& server : servers_) server->resilient->StartHeartbeats(nodes);
+  for (const auto& s : servers_) nodes.push_back(s->node);
+  server->resilient->StartHeartbeats(nodes);
 }
 
 void DynamoCluster::StartAntiEntropy(sim::Time interval) {
@@ -223,62 +240,45 @@ resilience::ResilientRpc* DynamoCluster::ClientRpc(sim::NodeId client) {
   return it->second.get();
 }
 
-const std::vector<sim::NodeId>& DynamoCluster::RingWalk(
-    const std::string& key) const {
-  EVC_CHECK(!servers_.empty());
-  const KeyId id = keys_.Intern(key);
-  if (walk_of_key_.size() <= id) walk_of_key_.resize(id + 1);
-  std::vector<sim::NodeId>& out = walk_of_key_[id];
-  if (!out.empty()) return out;  // cache hit (membership unchanged)
-  if (config_.use_hash_ring) {
-    out = ring_.PreferenceList(key, servers_.size());
-    return out;
-  }
-  const size_t start = Fnv1a64(key) % servers_.size();
-  out.reserve(servers_.size());
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    out.push_back(servers_[(start + i) % servers_.size()]->node);
-  }
-  return out;
-}
-
 std::vector<sim::NodeId> DynamoCluster::PreferenceList(
     const std::string& key) const {
-  if (elastic()) {
-    return PreferenceListAt(config_service_->committed().epoch, key);
-  }
-  const std::vector<sim::NodeId>& walk = RingWalk(key);
-  std::vector<sim::NodeId> out(
-      walk.begin(),
-      walk.begin() + std::min<size_t>(config_.replication_factor,
-                                      walk.size()));
-  return out;
+  return PreferenceListAt(committed_epoch(), key);
 }
 
-const std::vector<sim::NodeId>& DynamoCluster::MembersOfEpoch(
+void DynamoCluster::LearnEpoch(const membership::MembershipView& view) {
+  auto [it, inserted] = placement_of_epoch_.try_emplace(view.epoch);
+  if (inserted) it->second.members = view.members;
+}
+
+DynamoCluster::EpochPlacement& DynamoCluster::PlacementAt(
     uint64_t epoch) const {
-  auto it = members_of_epoch_.find(epoch);
-  EVC_CHECK(it != members_of_epoch_.end());
+  auto it = placement_of_epoch_.find(epoch);
+  EVC_CHECK(it != placement_of_epoch_.end());
   return it->second;
 }
 
 const std::vector<sim::NodeId>& DynamoCluster::RingWalkAt(
     uint64_t epoch, const std::string& key) const {
-  const std::vector<sim::NodeId>& members = MembersOfEpoch(epoch);
-  auto ring_it = ring_of_epoch_.find(epoch);
-  if (ring_it == ring_of_epoch_.end()) {
-    // Placement under an epoch is a pure function of its sorted member
-    // list: every node builds the identical ring independently.
-    ring_it = ring_of_epoch_.try_emplace(epoch, kRingVnodes).first;
-    for (sim::NodeId m : members) ring_it->second.AddServer(m);
-  }
+  EpochPlacement& placement = PlacementAt(epoch);
+  const std::vector<sim::NodeId>& members = placement.members;
+  EVC_CHECK(!members.empty());
   const KeyId id = keys_.Intern(key);
-  std::vector<std::vector<sim::NodeId>>& walks = walks_of_epoch_[epoch];
-  if (walks.size() <= id) walks.resize(id + 1);
-  std::vector<sim::NodeId>& out = walks[id];
-  if (out.empty()) {
-    out = ring_it->second.PreferenceList(key, members.size());
+  if (placement.walks.size() <= id) placement.walks.resize(id + 1);
+  std::vector<sim::NodeId>& out = placement.walks[id];
+  if (!out.empty()) return out;  // cache hit (membership unchanged)
+  if (epoch == 0) {
+    const size_t start = Fnv1a64(key) % members.size();
+    out.reserve(members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      out.push_back(members[(start + i) % members.size()]);
+    }
+    return out;
   }
+  if (!placement.ring.has_value()) {
+    placement.ring.emplace(kRingVnodes);
+    for (sim::NodeId m : members) placement.ring->AddServer(m);
+  }
+  out = placement.ring->PreferenceList(key, members.size());
   return out;
 }
 
@@ -294,12 +294,11 @@ std::vector<sim::NodeId> DynamoCluster::PreferenceListAt(
 void DynamoCluster::WriteTargets(Server* coordinator, const std::string& key,
                                  std::vector<sim::NodeId>* targets,
                                  std::vector<sim::NodeId>* intended) {
-  // Elastic coordinators place under their own committed epoch; receivers
-  // fence legs whose epoch differs, so a stale placement can never count
-  // toward a quorum.
+  // Coordinators place under their own committed epoch; receivers fence
+  // legs whose epoch differs, so a stale placement can never count toward
+  // a quorum.
   const std::vector<sim::NodeId> preferred =
-      elastic() ? PreferenceListAt(coordinator->epoch, key)
-                : PreferenceList(key);
+      PreferenceListAt(coordinator->epoch, key);
   targets->clear();
   intended->clear();
   if (!config_.sloppy) {
@@ -313,7 +312,7 @@ void DynamoCluster::WriteTargets(Server* coordinator, const std::string& key,
   // observed replies) unless use_oracle_detector opts back into the
   // omniscient network oracle.
   const std::vector<sim::NodeId>& ring_walk =
-      elastic() ? RingWalkAt(coordinator->epoch, key) : RingWalk(key);
+      RingWalkAt(coordinator->epoch, key);
   size_t walk = 0;
   size_t preferred_idx = 0;
   while (targets->size() < preferred.size() && walk < ring_walk.size()) {
@@ -346,6 +345,38 @@ void DynamoCluster::WriteTargets(Server* coordinator, const std::string& key,
   }
 }
 
+bool DynamoCluster::ServesClients(Server* server, uint64_t client_epoch,
+                                  const sim::RpcResponder& respond) {
+  // A coordinator that is behind the client's committed epoch must not
+  // serve: its placement could ack a quorum the new epoch's readers never
+  // intersect. Refresh and make the client retry. (A coordinator AHEAD of
+  // the request epoch serves fine — its placement is fresher than the
+  // client's routing snapshot.)
+  if (client_epoch > server->epoch) {
+    stats_.stale_epoch_rejects.Inc(Obs());
+    RefreshView(server);
+    respond(Status::FailedPrecondition("coordinator view is stale"));
+    return false;
+  }
+  if (server->needs_refresh || server->departed) {
+    respond(Status::Unavailable("coordinator not serving"));
+    return false;
+  }
+  return true;
+}
+
+bool DynamoCluster::SameEpoch(Server* server, uint64_t leg_epoch,
+                              const sim::RpcResponder& respond) {
+  if (leg_epoch == server->epoch) return true;
+  // Either the sender is stale (its retry re-places under the new view) or
+  // we are (refresh below); accepting would let two epochs' quorums miss
+  // each other.
+  stats_.stale_epoch_rejects.Inc(Obs());
+  if (leg_epoch > server->epoch) RefreshView(server);
+  respond(Status::FailedPrecondition("epoch mismatch"));
+  return false;
+}
+
 void DynamoCluster::RegisterHandlers(Server* server) {
   const sim::NodeId node = server->node;
 
@@ -353,23 +384,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       node, m_client_put_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto put = std::move(req).Take<ClientPutReq>();
-        if (elastic()) {
-          // A coordinator that is behind the client's committed epoch must
-          // not serve: its placement could ack a quorum the new epoch's
-          // readers never intersect. Refresh and make the client retry.
-          // (A coordinator AHEAD of the request epoch serves fine — its
-          // placement is fresher than the client's routing snapshot.)
-          if (put.epoch > server->epoch) {
-            stats_.stale_epoch_rejects.Inc(Obs());
-            RefreshView(server);
-            respond(Status::FailedPrecondition("coordinator view is stale"));
-            return;
-          }
-          if (server->needs_refresh || server->departed) {
-            respond(Status::Unavailable("coordinator not serving"));
-            return;
-          }
-        }
+        if (!ServesClients(server, put.epoch, respond)) return;
         CoordinatePut(server, std::move(put),
                       [respond](Result<Version> r) mutable {
                         if (r.ok()) {
@@ -384,18 +399,7 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       node, m_client_get_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto get = std::move(req).Take<ClientGetReq>();
-        if (elastic()) {
-          if (get.epoch > server->epoch) {
-            stats_.stale_epoch_rejects.Inc(Obs());
-            RefreshView(server);
-            respond(Status::FailedPrecondition("coordinator view is stale"));
-            return;
-          }
-          if (server->needs_refresh || server->departed) {
-            respond(Status::Unavailable("coordinator not serving"));
-            return;
-          }
-        }
+        if (!ServesClients(server, get.epoch, respond)) return;
         CoordinateGet(server, std::move(get.key),
                       [respond](Result<ReadResult> r) mutable {
                         if (r.ok()) {
@@ -412,29 +416,14 @@ void DynamoCluster::RegisterHandlers(Server* server) {
   auto store_handler =
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto store = std::move(req).Take<StoreReq>();
-        if (elastic() && !store.cross_epoch && store.epoch != server->epoch) {
-          // Quorum-counted leg from a different epoch: fence it. Either the
-          // sender is stale (its retry re-places under the new view) or we
-          // are (refresh below); accepting would let two epochs' quorums
-          // miss each other.
-          stats_.stale_epoch_rejects.Inc(Obs());
-          if (store.epoch > server->epoch) RefreshView(server);
-          respond(Status::FailedPrecondition("epoch mismatch"));
+        // Only quorum-counted legs are fenced by epoch.
+        if (!store.cross_epoch && !SameEpoch(server, store.epoch, respond)) {
           return;
         }
         if (store.has_hint && store.intended != server->node) {
           // We are a fallback home: buffer for handoff AND serve reads from
-          // local storage in the meantime. Merge into any hint already
-          // buffered for this (intended, key) — counting a re-divert as a
-          // fresh stored hint would unbalance the stored/delivered/lost
-          // ledger, since delivery is per (intended, key) entry.
-          auto& slot = server->hints[store.intended][store.key];
-          if (slot.empty()) {
-            stats_.hints_stored.Inc(Obs());
-            slot = store.versions;
-          } else {
-            slot = MergeSiblingSets({slot, store.versions});
-          }
+          // local storage in the meantime.
+          BufferHint(server, store.intended, store.key, store.versions);
         }
         server->storage->MergeRemote(store.key, store.versions);
         respond(StoreAck{server->storage->store().KeyDigest(store.key)});
@@ -446,15 +435,10 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       node, m_read_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto read = std::move(req).Take<ReadReq>();
-        if (elastic() && read.epoch != server->epoch) {
-          // A stale replica must not contribute to a fresh read quorum (it
-          // may have missed writes placed under the new epoch), and a fresh
-          // replica must not serve a stale coordinator.
-          stats_.stale_epoch_rejects.Inc(Obs());
-          if (read.epoch > server->epoch) RefreshView(server);
-          respond(Status::FailedPrecondition("epoch mismatch"));
-          return;
-        }
+        // A stale replica must not contribute to a fresh read quorum (it
+        // may have missed writes placed under the new epoch), and a fresh
+        // replica must not serve a stale coordinator.
+        if (!SameEpoch(server, read.epoch, respond)) return;
         ReadReply reply;
         reply.versions = server->storage->GetRaw(read.key);
         reply.digest = server->storage->store().KeyDigest(read.key);
@@ -493,30 +477,23 @@ resilience::CallOptions DynamoCluster::ClientCallOptions() const {
 void DynamoCluster::Put(sim::NodeId client, sim::NodeId coordinator,
                         const std::string& key, std::string value,
                         const VersionVector& context, PutCallback done) {
-  ClientPutReq req;
-  req.key = key;
-  req.value = std::move(value);
-  req.context = context;
-  req.is_delete = false;
-  if (elastic()) req.epoch = config_service_->committed().epoch;
-  ClientRpc(client)->Call(coordinator, m_client_put_, std::move(req),
-                          ClientCallOptions(), [done](Result<sim::Payload> r) {
-                            if (!r.ok()) {
-                              done(r.status());
-                            } else {
-                              done(std::move(r).value().Take<Version>());
-                            }
-                          });
+  SendClientPut(client, coordinator,
+                {.key = key, .value = std::move(value), .context = context},
+                std::move(done));
 }
 
 void DynamoCluster::Delete(sim::NodeId client, sim::NodeId coordinator,
                            const std::string& key,
                            const VersionVector& context, PutCallback done) {
-  ClientPutReq req;
-  req.key = key;
-  req.context = context;
-  req.is_delete = true;
-  if (elastic()) req.epoch = config_service_->committed().epoch;
+  SendClientPut(
+      client, coordinator,
+      {.key = key, .value = {}, .context = context, .is_delete = true},
+      std::move(done));
+}
+
+void DynamoCluster::SendClientPut(sim::NodeId client, sim::NodeId coordinator,
+                                  ClientPutReq req, PutCallback done) {
+  req.epoch = committed_epoch();
   ClientRpc(client)->Call(coordinator, m_client_put_, std::move(req),
                           ClientCallOptions(), [done](Result<sim::Payload> r) {
                             if (!r.ok()) {
@@ -529,8 +506,7 @@ void DynamoCluster::Delete(sim::NodeId client, sim::NodeId coordinator,
 
 void DynamoCluster::Get(sim::NodeId client, sim::NodeId coordinator,
                         const std::string& key, GetCallback done) {
-  ClientGetReq req{key};
-  if (elastic()) req.epoch = config_service_->committed().epoch;
+  ClientGetReq req{key, committed_epoch()};
   resilience::CallOptions opts = ClientCallOptions();
   if (config_.hedge_reads && servers_.size() > 1) {
     // Race a slow coordinator against the next server; reads are idempotent
@@ -580,7 +556,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
   // falls back to a hint for its target, which blocks this server's
   // catch-up report (and therefore the commit) until delivered.
   std::vector<sim::NodeId> extra;
-  if (elastic() && coordinator->prepared.has_value()) {
+  if (coordinator->prepared.has_value()) {
     for (sim::NodeId n :
          PreferenceListAt(coordinator->prepared->epoch, req.key)) {
       if (!Contains(targets, n)) extra.push_back(n);
@@ -629,17 +605,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
     maybe_finish();
   };
 
-  // Fan-out legs feed the coordinator's detector/breaker (as every attempt
-  // outcome does) in both modes; single attempt, breaker not consulted —
-  // the quorum math already tolerates missing acks, and WriteTargets
-  // skipped unusable peers up front.
-  resilience::CallOptions leg;
-  leg.attempt_timeout = kRpcTimeout;
-  leg.max_attempts = 1;
-  leg.respect_breaker = false;
-  // The quorum math already bounds fan-out; starving a leg on the retry
-  // budget or AIMD limit would turn overload into quorum loss.
-  leg.respect_limits = false;
+  const resilience::CallOptions leg = FanOutLeg();
   for (size_t i = 0; i < targets.size(); ++i) {
     StoreReq store;
     store.key = req.key;
@@ -669,13 +635,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
             // Hinted handoff to the NEW owner: the write stays available
             // and the data reaches the owner before the epoch commits
             // (TryReportCatchUp holds the report while this hint pends).
-            auto& slot = coordinator->hints[target][key];
-            if (slot.empty()) {
-              stats_.hints_stored.Inc(Obs());
-              slot = {version};
-            } else {
-              slot = MergeSiblingSets({slot, {version}});
-            }
+            BufferHint(coordinator, target, key, {version});
           }
           ++state->extra_done;
           maybe_finish();
@@ -688,12 +648,11 @@ void DynamoCluster::CoordinateGet(
     std::function<void(Result<ReadResult>)> done) {
   const sim::Time started = rpc_->simulator()->Now();
   coordinator->c_coordinated_gets->Inc();
-  // Elastic coordinators read under their own committed epoch; replicas at
-  // a different epoch fence the leg, so the quorum only counts replicas
-  // that agree on placement.
+  // Coordinators read under their own committed epoch; replicas at a
+  // different epoch fence the leg, so the quorum only counts replicas that
+  // agree on placement.
   const std::vector<sim::NodeId> preferred =
-      elastic() ? PreferenceListAt(coordinator->epoch, key)
-                : PreferenceList(key);
+      PreferenceListAt(coordinator->epoch, key);
 
   struct GetState {
     std::vector<std::vector<Version>> replies;
@@ -762,11 +721,7 @@ void DynamoCluster::CoordinateGet(
     }
   };
 
-  resilience::CallOptions leg;
-  leg.attempt_timeout = kRpcTimeout;
-  leg.max_attempts = 1;
-  leg.respect_breaker = false;
-  leg.respect_limits = false;  // see CoordinatePut
+  const resilience::CallOptions leg = FanOutLeg();
   for (const sim::NodeId target : preferred) {
     ReadReq read{key, coordinator->epoch};
     coordinator->resilient->Call(target, m_read_, std::move(read), leg,
@@ -789,16 +744,12 @@ void DynamoCluster::ScheduleHintTick(Server* server, sim::Time interval) {
 }
 
 void DynamoCluster::DeliverHints(Server* server) {
-  sim::Network* net = rpc_->network();
-  if (!net->IsNodeUp(server->node)) return;
+  if (!rpc_->network()->IsNodeUp(server->node)) return;
   for (auto it = server->hints.begin(); it != server->hints.end();) {
     const sim::NodeId intended = it->first;
     // Hold the hint while the intended home still looks down — to the
     // holder's own detector in detector mode, to the oracle otherwise.
-    const bool reachable = config_.use_oracle_detector
-                               ? net->CanCommunicate(server->node, intended)
-                               : server->resilient->PeerUsable(intended);
-    if (!reachable) {
+    if (!TargetUsable(server, intended)) {
       ++it;
       continue;
     }
@@ -811,11 +762,6 @@ void DynamoCluster::DeliverHints(Server* server) {
       ++it;
       continue;
     }
-    resilience::CallOptions leg;
-    leg.attempt_timeout = kRpcTimeout;
-    leg.max_attempts = 1;
-    leg.respect_breaker = false;
-    leg.respect_limits = false;  // see CoordinatePut
     for (const auto& [key, versions] : it->second) {
       StoreReq store;
       store.key = key;
@@ -824,18 +770,18 @@ void DynamoCluster::DeliverHints(Server* server) {
       // Handoff is an idempotent merge of versions the intended home was
       // always meant to hold — exempt from the epoch fence.
       store.cross_epoch = true;
-      server->resilient->Call(intended, m_hint_, std::move(store), leg,
-                              [this](Result<sim::Payload> r) {
-                   if (r.ok()) {
-                     stats_.hints_delivered.Inc(Obs());
-                   } else {
-                     // The hint was already dropped from the buffer
-                     // (optimistic erase below); account the loss so the
-                     // handoff ledger still balances. Anti-entropy repairs
-                     // the data itself.
-                     stats_.hints_lost.Inc(Obs());
-                   }
-                 });
+      server->resilient->Call(
+          intended, m_hint_, std::move(store), FanOutLeg(),
+          [this](Result<sim::Payload> r) {
+            if (r.ok()) {
+              stats_.hints_delivered.Inc(Obs());
+            } else {
+              // The hint was already dropped from the buffer (optimistic
+              // erase below); account the loss so the handoff ledger still
+              // balances. Anti-entropy repairs the data itself.
+              stats_.hints_lost.Inc(Obs());
+            }
+          });
     }
     // Optimistic: drop the hint once sent; a lost handoff is later fixed by
     // anti-entropy (mirrors Dynamo's at-least-once handoff semantics).
@@ -843,7 +789,19 @@ void DynamoCluster::DeliverHints(Server* server) {
   }
   // Draining hints may have unblocked a held catch-up report (reports wait
   // while hints to prepared-view members pend).
-  if (elastic()) TryReportCatchUp(server);
+  TryReportCatchUp(server);
+}
+
+void DynamoCluster::BufferHint(Server* holder, sim::NodeId intended,
+                               const std::string& key,
+                               const std::vector<Version>& versions) {
+  auto& slot = holder->hints[intended][key];
+  if (slot.empty()) {
+    stats_.hints_stored.Inc(Obs());
+    slot = versions;
+  } else {
+    slot = MergeSiblingSets({slot, versions});
+  }
 }
 
 void DynamoCluster::OnCrash(uint32_t node) {
@@ -943,18 +901,16 @@ size_t DynamoCluster::pending_hints() const {
 
 void DynamoCluster::EnableElastic(membership::ConfigService* config) {
   EVC_CHECK(config_service_ == nullptr);
-  EVC_CHECK(config_.use_hash_ring);  // per-epoch rings are vnode-based
   EVC_CHECK(config != nullptr);
   config_service_ = config;
   const membership::MembershipView& committed = config->committed();
   EVC_CHECK(committed.epoch >= 1);  // must be bootstrapped
   EVC_CHECK(committed.members.size() == servers_.size());
-  members_of_epoch_.try_emplace(committed.epoch, committed.members);
+  LearnEpoch(committed);
   announced_epoch_ = committed.epoch;
   for (auto& server : servers_) {
     EVC_CHECK(committed.Contains(server->node));
     server->epoch = committed.epoch;
-    server->members = committed.members;
     server->departed = false;
     SubscribeServer(server.get());
     ScheduleRefreshTick(server.get());
@@ -975,9 +931,8 @@ void DynamoCluster::ApplyView(
     Server* server, const membership::MembershipView& committed,
     const std::optional<membership::MembershipView>& prepared) {
   if (committed.epoch > server->epoch) {
-    members_of_epoch_.try_emplace(committed.epoch, committed.members);
+    LearnEpoch(committed);
     server->epoch = committed.epoch;
-    server->members = committed.members;
     server->departed = !committed.Contains(server->node);
     server->needs_refresh = false;
     if (server->migration != nullptr &&
@@ -1002,7 +957,7 @@ void DynamoCluster::ApplyView(
     server->needs_refresh = false;
   }
   if (prepared.has_value() && prepared->epoch > server->epoch) {
-    members_of_epoch_.try_emplace(prepared->epoch, prepared->members);
+    LearnEpoch(*prepared);
     server->prepared = *prepared;
     if (server->migration == nullptr ||
         server->migration->epoch != prepared->epoch) {
@@ -1082,14 +1037,7 @@ void DynamoCluster::StreamNextChunk(Server* server) {
   // amplifying an overload.
   if (rpc_->PeerLoad(server->node, target) >= sim::Rpc::kBackgroundYieldLoad) {
     stats_.migrate_deferred.Inc(Obs());
-    const uint64_t deferred_epoch = task->epoch;
-    rpc_->simulator()->ScheduleAfter(
-        kMigrateRetryPause, [this, server, deferred_epoch] {
-          MigrationTask* t2 = server->migration.get();
-          if (t2 != nullptr && t2->epoch == deferred_epoch) {
-            StreamNextChunk(server);
-          }
-        });
+    RetryAfterPause(server, task->epoch, &DynamoCluster::StreamNextChunk);
     return;
   }
   MigrateChunk chunk;
@@ -1122,11 +1070,16 @@ void DynamoCluster::StreamNextChunk(Server* server) {
         }
         auto& queue = t->outgoing[target];
         queue.insert(queue.end(), pending->begin(), pending->end());
-        rpc_->simulator()->ScheduleAfter(
-            kMigrateRetryPause, [this, server, epoch] {
-              MigrationTask* t2 = server->migration.get();
-              if (t2 != nullptr && t2->epoch == epoch) StreamNextChunk(server);
-            });
+        RetryAfterPause(server, epoch, &DynamoCluster::StreamNextChunk);
+      });
+}
+
+void DynamoCluster::RetryAfterPause(Server* server, uint64_t epoch,
+                                    void (DynamoCluster::*step)(Server*)) {
+  rpc_->simulator()->ScheduleAfter(
+      kMigrateRetryPause, [this, server, epoch, step] {
+        const MigrationTask* task = server->migration.get();
+        if (task != nullptr && task->epoch == epoch) (this->*step)(server);
       });
 }
 
@@ -1157,31 +1110,20 @@ void DynamoCluster::TryReportCatchUp(Server* server) {
           stats_.migrations_completed.Inc(Obs());
           return;
         }
-        rpc_->simulator()->ScheduleAfter(
-            kMigrateRetryPause, [this, server, epoch] {
-              MigrationTask* t2 = server->migration.get();
-              if (t2 != nullptr && t2->epoch == epoch) {
-                TryReportCatchUp(server);
-              }
-            });
+        RetryAfterPause(server, epoch, &DynamoCluster::TryReportCatchUp);
       });
 }
 
 void DynamoCluster::RedirectHints(Server* server) {
   for (auto it = server->hints.begin(); it != server->hints.end();) {
     const sim::NodeId intended = it->first;
-    if (Contains(server->members, intended)) {
+    if (Contains(PlacementAt(server->epoch).members, intended)) {
       ++it;
       continue;
     }
     // The intended home left the committed view: waiting for it to come
-    // back would pend forever (the static-membership bug this PR fixes).
+    // back would pend forever.
     // Re-aim each hint at the key's new primary under the current epoch.
-    resilience::CallOptions leg;
-    leg.attempt_timeout = kRpcTimeout;
-    leg.max_attempts = 1;
-    leg.respect_breaker = false;
-    leg.respect_limits = false;  // see CoordinatePut
     for (const auto& [key, versions] : it->second) {
       stats_.hints_redirected.Inc(Obs());
       const std::vector<sim::NodeId> pref =
@@ -1198,17 +1140,17 @@ void DynamoCluster::RedirectHints(Server* server) {
       store.versions = versions;
       store.epoch = server->epoch;
       store.cross_epoch = true;
-      server->resilient->Call(target, m_store_, std::move(store), leg,
-                              [this](Result<sim::Payload> r) {
-                                if (r.ok()) {
-                                  stats_.hints_delivered.Inc(Obs());
-                                } else {
-                                  // Optimistic send, same ledger discipline
-                                  // as DeliverHints: the entry is already
-                                  // erased, so account the loss now.
-                                  stats_.hints_lost.Inc(Obs());
-                                }
-                              });
+      server->resilient->Call(
+          target, m_store_, std::move(store), FanOutLeg(),
+          [this](Result<sim::Payload> r) {
+            if (r.ok()) {
+              stats_.hints_delivered.Inc(Obs());
+            } else {
+              // Optimistic send, same ledger discipline as DeliverHints:
+              // the entry is already erased, so account the loss now.
+              stats_.hints_lost.Inc(Obs());
+            }
+          });
     }
     it = server->hints.erase(it);
   }
@@ -1220,19 +1162,14 @@ Result<sim::NodeId> DynamoCluster::AddServerLive(
   if (config_service_->ReconfigInProgress()) {
     return Status::FailedPrecondition("reconfiguration in flight");
   }
-  Server* server = CreateServer(/*on_static_ring=*/false);
+  Server* server = CreateServer();
   // The newcomer serves nothing until it pulls a view; data still reaches
   // it meanwhile via cross-epoch migration chunks and extra write legs.
   server->needs_refresh = true;
   SubscribeServer(server);
   ScheduleRefreshTick(server);
   if (hint_interval_ > 0) ScheduleHintTick(server, hint_interval_);
-  if (!config_.use_oracle_detector) {
-    std::vector<sim::NodeId> nodes;
-    nodes.reserve(servers_.size());
-    for (const auto& s : servers_) nodes.push_back(s->node);
-    server->resilient->StartHeartbeats(nodes);
-  }
+  if (failure_detection_) StartHeartbeats(server);
   if (anti_entropy_ != nullptr) {
     anti_entropy_->AddMember(server->node, server->storage.get());
   }
@@ -1264,8 +1201,7 @@ std::vector<sim::NodeId> DynamoCluster::CommittedMembers() const {
 }
 
 uint64_t DynamoCluster::committed_epoch() const {
-  EVC_CHECK(elastic());
-  return config_service_->committed().epoch;
+  return elastic() ? config_service_->committed().epoch : 0;
 }
 
 bool DynamoCluster::Migrating() const {

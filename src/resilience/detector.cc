@@ -88,6 +88,4 @@ bool PhiAccrualDetector::ConsecutiveFailuresExceeded(uint32_t peer) const {
              options_.consecutive_failures_to_suspect;
 }
 
-void PhiAccrualDetector::Forget(uint32_t peer) { peers_.erase(peer); }
-
 }  // namespace evc::resilience

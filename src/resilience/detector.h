@@ -68,9 +68,6 @@ class PhiAccrualDetector {
   /// True when the consecutive-failure fallback alone convicts `peer`.
   bool ConsecutiveFailuresExceeded(uint32_t peer) const;
 
-  /// Drops all history for `peer` (e.g. after it was replaced).
-  void Forget(uint32_t peer);
-
   const DetectorOptions& options() const { return options_; }
 
  private:

@@ -108,7 +108,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
     }
     timeout = std::min(timeout, remaining);
   }
-  if (state->opts.respect_breaker && options_.breaker_enabled &&
+  if (state->opts.respect_limits && options_.breaker_enabled &&
       !breaker_.AllowRequest(state->to, now)) {
     stats_.breaker_rejects.Inc(Obs());
     state->last_error = Status::Unavailable("circuit breaker open");
@@ -156,7 +156,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
             // A hedge is an extra request: it must respect the breaker at
             // its destination (an open breaker means "stop adding load
             // here" — hedges were sneaking past it) ...
-            if (state->opts.respect_breaker && options_.breaker_enabled &&
+            if (state->opts.respect_limits && options_.breaker_enabled &&
                 breaker_.StateOf(hedge_to, rpc_->simulator()->Now()) ==
                     CircuitBreaker::State::kOpen) {
               stats_.hedges_suppressed_breaker.Inc(Obs());

@@ -107,11 +107,11 @@ struct CallOptions {
   bool hedge = false;
   /// Destination of the hedged copy; kSameDestination re-sends to `to`.
   sim::NodeId hedge_to = kSameDestination;
-  /// Reject attempts the breaker holds open (failing fast with Unavailable).
-  bool respect_breaker = true;
-  /// Subject this call to the retry budget and AIMD concurrency limit.
-  /// Quorum fan-out legs set false: the coordinator's quorum math already
-  /// bounds them, and starving legs would turn overload into quorum loss.
+  /// Subject this call to the circuit breaker (attempts it holds open fail
+  /// fast with Unavailable), the retry budget and the AIMD concurrency
+  /// limit. Quorum fan-out legs set false: the coordinator's quorum math
+  /// already bounds them, and starving legs would turn overload into quorum
+  /// loss. Outcomes still feed the detector and breaker either way.
   bool respect_limits = true;
 
   static constexpr sim::NodeId kSameDestination = UINT32_MAX;

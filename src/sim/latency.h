@@ -51,41 +51,6 @@ class UniformLatency : public LatencyModel {
   Time lo_, hi_;
 };
 
-/// Shifted exponential: base propagation delay plus exponential queueing
-/// tail. This is the distribution family the PBS paper fits to Dynamo-style
-/// deployments.
-class ExponentialLatency : public LatencyModel {
- public:
-  ExponentialLatency(Time base, double tail_mean_us)
-      : base_(base), tail_mean_us_(tail_mean_us) {
-    EVC_CHECK(base >= 0 && tail_mean_us >= 0);
-  }
-  Time Sample(NodeId, NodeId, Rng& rng) override {
-    const double tail =
-        tail_mean_us_ > 0 ? rng.NextExponential(tail_mean_us_) : 0.0;
-    return base_ + static_cast<Time>(tail);
-  }
-
- private:
-  Time base_;
-  double tail_mean_us_;
-};
-
-/// Log-normal latency (heavy-ish tail), parameterized by median and sigma.
-class LogNormalLatency : public LatencyModel {
- public:
-  LogNormalLatency(Time median, double sigma)
-      : mu_(std::log(static_cast<double>(median > 0 ? median : 1))),
-        sigma_(sigma) {}
-  Time Sample(NodeId, NodeId, Rng& rng) override {
-    return static_cast<Time>(rng.NextLogNormal(mu_, sigma_));
-  }
-
- private:
-  double mu_;
-  double sigma_;
-};
-
 /// Multi-datacenter model: nodes are assigned to datacenters; latency is a
 /// per-(dc, dc) base plus a jitter fraction sampled exponentially. Same-DC
 /// traffic uses the (dc, dc) diagonal (typically ~0.25-0.5 ms one-way).

@@ -197,11 +197,6 @@ sim::NodeId NaiveCounterCluster::replica_node(int index) const {
   return replicas_[index]->node;
 }
 
-int64_t NaiveCounterCluster::ValueAt(int replica) const {
-  EVC_CHECK(replica >= 0 && replica < static_cast<int>(replicas_.size()));
-  return replicas_[replica]->cached;
-}
-
 void NaiveCounterCluster::Acquire(sim::NodeId client, int replica,
                                   int64_t amount, AcquireCallback done) {
   EVC_CHECK(amount > 0);

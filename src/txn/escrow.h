@@ -98,7 +98,6 @@ class NaiveCounterCluster {
                AcquireCallback done);
 
   sim::NodeId replica_node(int index) const;
-  int64_t ValueAt(int replica) const;
   int64_t total_acquired() const { return total_acquired_; }
   int64_t initial_total() const { return initial_total_; }
   /// Units sold beyond the initial stock (0 when behaving correctly).

@@ -20,7 +20,6 @@ RedBlueBank::RedBlueBank(sim::Rpc* rpc, int site_count) : rpc_(rpc) {
     site->node = rpc_->network()->AddNode();
     site->index = i;
     RegisterHandlers(site.get());
-    by_node_[site->node] = site.get();
     sites_.push_back(std::move(site));
   }
 }
@@ -28,11 +27,6 @@ RedBlueBank::RedBlueBank(sim::Rpc* rpc, int site_count) : rpc_(rpc) {
 sim::NodeId RedBlueBank::site_node(int index) const {
   EVC_CHECK(index >= 0 && index < static_cast<int>(sites_.size()));
   return sites_[index]->node;
-}
-
-RedBlueBank::Site* RedBlueBank::FindSite(sim::NodeId node) {
-  auto it = by_node_.find(node);
-  return it == by_node_.end() ? nullptr : it->second;
 }
 
 void RedBlueBank::ApplyDelta(Site* site, const std::string& account,

@@ -88,7 +88,6 @@ class RedBlueBank {
     int64_t amount = 0;
   };
 
-  Site* FindSite(sim::NodeId node);
   void RegisterHandlers(Site* site);
   void ApplyDelta(Site* site, const std::string& account, int64_t delta);
   void BroadcastDelta(Site* origin, const std::string& account,
@@ -100,7 +99,6 @@ class RedBlueBank {
   sim::MethodId m_red_op_ = 0;
   sim::MsgType t_delta_ = 0;
   std::vector<std::unique_ptr<Site>> sites_;
-  std::map<sim::NodeId, Site*> by_node_;
   RedBlueStats stats_;
 };
 

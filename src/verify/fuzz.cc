@@ -625,7 +625,6 @@ FuzzReport RunQuorum(const FuzzOptions& o) {
   cfg.write_quorum = strict ? 2 : 1;
   cfg.sloppy = elastic ? o.elastic_sloppy : !strict;
   cfg.read_repair = true;
-  cfg.use_hash_ring = elastic;
   cfg.crash_amnesia = o.amnesia;
   cfg.use_oracle_detector = o.use_oracle_detector;
   if (o.overload) {

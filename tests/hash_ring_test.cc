@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
-
-#include "replication/quorum_store.h"
+#include <string>
+#include <vector>
 
 namespace evc::repl {
 namespace {
@@ -109,37 +109,6 @@ TEST(HashRingTest, RemovingServerSpillsToSuccessors) {
     } else {
       EXPECT_NE(now, 2u) << key;
     }
-  }
-}
-
-TEST(HashRingDynamoTest, ClusterWorksWithRingPlacement) {
-  sim::Simulator sim(3);
-  sim::Network net(&sim, std::make_unique<sim::ConstantLatency>(
-                             5 * sim::kMillisecond));
-  sim::Rpc rpc(&net);
-  QuorumConfig config;
-  config.use_hash_ring = true;
-  DynamoCluster cluster(&rpc, config);
-  auto servers = cluster.AddServers(8);
-  const sim::NodeId client = net.AddNode();
-  int completed = 0;
-  for (int i = 0; i < 30; ++i) {
-    cluster.Put(client, servers[i % 8], "key" + std::to_string(i), "v", {},
-                [&](Result<Version> r) {
-                  ASSERT_TRUE(r.ok());
-                  ++completed;
-                });
-  }
-  sim.RunFor(10 * sim::kSecond);
-  EXPECT_EQ(completed, 30);
-  for (int i = 0; i < 30; ++i) {
-    const std::string key = "key" + std::to_string(i);
-    EXPECT_TRUE(cluster.ReplicasConverged(key)) << key;
-    // Preference list agrees with the standalone ring semantics.
-    const auto pref = cluster.PreferenceList(key);
-    EXPECT_EQ(pref.size(), 3u);
-    std::set<sim::NodeId> distinct(pref.begin(), pref.end());
-    EXPECT_EQ(distinct.size(), 3u);
   }
 }
 
@@ -260,34 +229,6 @@ TEST(HashRingTest, RemapDeltaBoundedOnLeave) {
   const double fair = static_cast<double>(kKeys) / 8;
   EXPECT_GT(moved, 0);
   EXPECT_LE(moved, static_cast<int>(fair * 1.5));
-}
-
-TEST(HashRingDynamoTest, SloppyQuorumStillWorksOnRing) {
-  sim::Simulator sim(5);
-  sim::Network net(&sim, std::make_unique<sim::ConstantLatency>(
-                             5 * sim::kMillisecond));
-  sim::Rpc rpc(&net);
-  QuorumConfig config;
-  config.use_hash_ring = true;
-  config.sloppy = true;
-  DynamoCluster cluster(&rpc, config);
-  auto servers = cluster.AddServers(6);
-  cluster.StartFailureDetection();
-  const sim::NodeId client = net.AddNode();
-  const auto pref = cluster.PreferenceList("k");
-  net.SetNodeUp(pref[1], false);
-  net.SetNodeUp(pref[2], false);
-  sim.RunFor(sim::kSecond);  // heartbeats convict the dead replicas
-  int coordinator_index = 0;
-  for (size_t i = 0; i < servers.size(); ++i) {
-    if (servers[i] == pref[0]) coordinator_index = static_cast<int>(i);
-  }
-  bool ok = false;
-  cluster.Put(client, servers[coordinator_index], "k", "v", {},
-              [&](Result<Version> r) { ok = r.ok(); });
-  sim.RunFor(5 * sim::kSecond);
-  EXPECT_TRUE(ok);
-  EXPECT_GE(cluster.stats().sloppy_diversions, 2u);
 }
 
 }  // namespace

@@ -329,7 +329,7 @@ TEST(EvcLint, TreeWideWerrorSweepIsClean) {
   std::vector<std::string> out;
   int rc = RunCommandLine({"--werror", "--exclude=lint_fixtures",
                            root + "/src", root + "/bench", root + "/tools",
-                           root + "/tests"},
+                           root + "/tests", root + "/examples"},
                           &out);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(rc, 0) << "tree no longer lint-clean; first line: " << out.front();

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -147,7 +148,6 @@ class ElasticClusterTest : public ::testing::Test {
     cfg.write_quorum = 2;
     cfg.sloppy = false;
     cfg.read_repair = true;
-    cfg.use_hash_ring = true;
     return cfg;
   }
 
@@ -216,6 +216,51 @@ class ElasticClusterTest : public ::testing::Test {
   std::vector<sim::NodeId> servers_;
   sim::NodeId client_ = 0;
 };
+
+// Ring placement is what elastic mode means: every committed epoch places
+// keys on a vnode HashRing of its members.
+TEST_F(ElasticClusterTest, ClusterWorksWithRingPlacement) {
+  Build(repl::QuorumConfig{}, /*servers=*/8, /*seed=*/3);
+  int completed = 0;
+  for (int i = 0; i < 30; ++i) {
+    cluster_->Put(client_, servers_[i % 8], "key" + std::to_string(i), "v", {},
+                  [&](Result<Version> r) {
+                    ASSERT_TRUE(r.ok());
+                    ++completed;
+                  });
+  }
+  sim_->RunFor(10 * kSecond);
+  EXPECT_EQ(completed, 30);
+  for (int i = 0; i < 30; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    EXPECT_TRUE(cluster_->ReplicasConverged(key)) << key;
+    // Preference list agrees with the standalone ring semantics.
+    const auto pref = cluster_->PreferenceList(key);
+    EXPECT_EQ(pref.size(), 3u);
+    std::set<sim::NodeId> distinct(pref.begin(), pref.end());
+    EXPECT_EQ(distinct.size(), 3u);
+  }
+}
+
+TEST_F(ElasticClusterTest, SloppyQuorumStillWorksOnRing) {
+  repl::QuorumConfig cfg;
+  cfg.sloppy = true;
+  Build(cfg, /*servers=*/6, /*seed=*/5);  // Build starts failure detection
+  const auto pref = cluster_->PreferenceList("k");
+  net_->SetNodeUp(pref[1], false);
+  net_->SetNodeUp(pref[2], false);
+  sim_->RunFor(kSecond);  // heartbeats convict the dead replicas
+  int coordinator_index = 0;
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    if (servers_[i] == pref[0]) coordinator_index = static_cast<int>(i);
+  }
+  bool ok = false;
+  cluster_->Put(client_, servers_[coordinator_index], "k", "v", {},
+                [&](Result<Version> r) { ok = r.ok(); });
+  sim_->RunFor(5 * kSecond);
+  EXPECT_TRUE(ok);
+  EXPECT_GE(cluster_->stats().sloppy_diversions, 2u);
+}
 
 TEST_F(ElasticClusterTest, LiveJoinMigratesKeysAndCommits) {
   Build(StrictRingConfig());

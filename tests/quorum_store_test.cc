@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
+
+#include "common/hash.h"
 
 namespace evc::repl {
 namespace {
@@ -264,6 +268,28 @@ TEST_F(QuorumStoreTest, PreferenceListIsDeterministicAndDistinct) {
   EXPECT_NE(a[0], a[1]);
   EXPECT_NE(a[1], a[2]);
   EXPECT_NE(a[0], a[2]);
+}
+
+// A static cluster is epoch 0 of the placement: the preference list is the
+// rotation of the servers, in AddServer order, that starts at
+// Fnv1a64(key) % n. A server added later re-places every key.
+TEST_F(QuorumStoreTest, StaticPreferenceListIsModuloRotation) {
+  Build(QuorumConfig{}, /*servers=*/7);
+  auto expect_rotation = [&] {
+    const size_t n = server_nodes_.size();
+    for (int i = 0; i < 100; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      const size_t start = Fnv1a64(key) % n;
+      std::vector<sim::NodeId> want;
+      for (size_t j = 0; j < 3; ++j) {
+        want.push_back(server_nodes_[(start + j) % n]);
+      }
+      EXPECT_EQ(cluster_->PreferenceList(key), want) << key << " n=" << n;
+    }
+  };
+  expect_rotation();
+  server_nodes_.push_back(cluster_->AddServer());
+  expect_rotation();
 }
 
 TEST_F(QuorumStoreTest, ManyKeysManyClientsConverge) {
